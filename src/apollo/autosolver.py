@@ -67,20 +67,17 @@ def load_suite(path) -> list[str]:
 
 
 def suite_candidates(config: RepairConfig | None = None) -> list[TacticCandidate]:
-    """The finishing-tactic ladder: singles in suite order, then
-    `first <;> second` combinations capped at config.combo_cap."""
+    """The finishing-tactic ladder: singles in suite order, then the
+    `first <;> second` combinations of the first four singles with each of
+    linarith, nlinarith and ring_nf (at most 12)."""
     config = config or RepairConfig()
     singles = load_suite(config.suite_path) if config.suite_path else list(DEFAULT_SUITE)
     candidates = [
         TacticCandidate(text, SOURCE_SUITE, rank)
         for rank, text in enumerate(singles)
     ]
-    combos = []
-    for first in singles[:4]:
-        for second in _COMBO_SECONDS:
-            if len(combos) >= config.combo_cap:
-                break
-            combos.append(f"{first} <;> {second}")
+    combos = [f"{first} <;> {second}"
+              for first in singles[:4] for second in _COMBO_SECONDS]
     candidates.extend(
         TacticCandidate(text, SOURCE_COMBINATION, len(singles) + i)
         for i, text in enumerate(combos)
@@ -125,18 +122,13 @@ def _closes(result: CompileResult, baseline_sorries: int) -> bool:
 
 
 def hint_candidates(script: ProofScript, span: SourceSpan, session,
-                    config: RepairConfig | None = None,
-                    baseline_sorries: int | None = None) -> list[TacticCandidate]:
+                    baseline_sorries: int,
+                    config: RepairConfig | None = None) -> list[TacticCandidate]:
     """Ask `hint` at the site and keep only suggestions that fully discharge
-    the goal; suggestions that merely make progress are filtered out by a
+    the goal, that is leave fewer than `baseline_sorries` sorries in the
+    script; suggestions that merely make progress are filtered out by a
     trial compile each."""
     config = config or RepairConfig()
-    if baseline_sorries is None:
-        code, _ = compile_lines(script, pp_preamble())
-        baseline = session.check(code, config.candidate_timeout)
-        if not baseline.ok:
-            return []
-        baseline_sorries = len(baseline.sorries)
     _, probe = _trial(script, span, "hint", session, config)
     suggestions = parse_hint_suggestions(probe)
     validated: list[TacticCandidate] = []
@@ -172,8 +164,7 @@ def solve_sorries(s: SorrifiedScript, session,
             continue
 
         committed = False
-        candidates = hint_candidates(script, span, session, config,
-                                     baseline_sorries=len(sorries))
+        candidates = hint_candidates(script, span, session, len(sorries), config)
         candidates.extend(suite_candidates(config))
         for cand in candidates:
             trial_script, trial_result = _trial(script, span, cand.text, session, config)

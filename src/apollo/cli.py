@@ -228,8 +228,8 @@ def run(items: list[BenchmarkItem], config: RepairConfig, backend,
             outcome.audit.write_jsonl(audit_path)
             record = _outcome_record(item.name, outcome,
                                      time.monotonic() - started, str(audit_path))
-        except ApolloError as exc:
-            log.error("item %s errored: %s", item.name, exc)
+        except Exception as exc:
+            log.exception("item %s errored: %s", item.name, exc)
             record = {
                 "name": item.name, "status": FAILED, "samples": 0, "tokens": 0,
                 "proof_length": None, "wall_time": round(time.monotonic() - started, 3),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MODULE_SYNTAX_REFINER = "syntax_refiner"
 MODULE_AUTO_SOLVER = "auto_solver"
@@ -26,7 +26,6 @@ class RepairConfig:
     item_time_limit: float = 7200.0
     temperature: float = 1.0
     max_tokens: int = 16384
-    combo_cap: int = 12
 
     def __post_init__(self):
         if self.max_depth_r < 0:
@@ -83,13 +82,3 @@ class BudgetLedger:
                 "wall_time": self.wall_time,
                 "module_triggers": dict(self.module_triggers),
             }
-
-    def merge(self, other: "BudgetLedger"):
-        snap = other.snapshot()
-        with self._lock:
-            self.samples_used += snap["samples_used"]
-            self.tokens_generated += snap["tokens_generated"]
-            self.repl_calls += snap["repl_calls"]
-            self.wall_time += snap["wall_time"]
-            for key, val in snap["module_triggers"].items():
-                self.module_triggers[key] += val

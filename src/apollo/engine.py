@@ -102,9 +102,6 @@ class AuditLog:
             for event in self.events:
                 fh.write(json.dumps(event.record(), ensure_ascii=False) + "\n")
 
-    def max_depth(self) -> int:
-        return max((e.depth for e in self.events), default=0)
-
 
 @dataclass
 class Outcome:
@@ -226,24 +223,34 @@ def _generate(run: _Run, statement: TheoremStatement, mode: str, depth: int,
     return result.candidates
 
 
+def _compile_as_generated(session, statement: TheoremStatement, text: str,
+                          config: RepairConfig
+                          ) -> tuple[CompileResult, SorrifiedScript | None]:
+    """Compile `text` as written.  It is accepted when the compile passes,
+    the text parses, the statement is unchanged and no sorry is left."""
+    result = session.check(_strip_imports(text), config.compile_timeout)
+    if result.status != PASS:
+        return result, None
+    try:
+        script = parse_script(text, statement)
+    except ParseError:
+        return result, None
+    if not statement_matches(script, statement) or count_sorries(script):
+        return result, None
+    return result, SorrifiedScript(script, [], result)
+
+
 def _process_candidate(run: _Run, session, statement: TheoremStatement,
                        text: str, index: int, depth: int) -> _CandidateState:
     config = run.config
     touched = False
     plain_mode = not (config.enable_auto_solver or config.enable_llm_reinvoker)
 
-    initial = session.check(_strip_imports(text), config.compile_timeout)
-    if initial.status == PASS:
-        try:
-            script = parse_script(text, statement)
-        except ParseError:
-            script = None
-        if script is not None and statement_matches(script, statement) \
-                and count_sorries(script) == 0:
-            run.audit.append(depth, "orchestrator", "candidate_pass",
-                             f"candidate {index} verified as generated")
-            result = SorrifiedScript(script, [], initial)
-            return _CandidateState(index, result, 0, touched)
+    initial, accepted = _compile_as_generated(session, statement, text, config)
+    if accepted is not None:
+        run.audit.append(depth, "orchestrator", "candidate_pass",
+                         f"candidate {index} verified as generated")
+        return _CandidateState(index, accepted, 0, touched)
 
     if initial.status == FAIL and config.enable_syntax_refiner:
         refined, applied = refine(text, run.rules)
@@ -253,16 +260,9 @@ def _process_candidate(run: _Run, session, statement: TheoremStatement,
             text = refined
             touched = True
             if plain_mode:
-                recheck = session.check(_strip_imports(text), config.compile_timeout)
-                if recheck.status == PASS:
-                    try:
-                        script = parse_script(text, statement)
-                    except ParseError:
-                        script = None
-                    if script is not None and statement_matches(script, statement) \
-                            and count_sorries(script) == 0:
-                        result = SorrifiedScript(script, [], recheck)
-                        return _CandidateState(index, result, 0, touched)
+                _, accepted = _compile_as_generated(session, statement, text, config)
+                if accepted is not None:
+                    return _CandidateState(index, accepted, 0, touched)
 
     if plain_mode:
         return _CandidateState(index, None, -1, touched, "no_pass_plain_mode")
@@ -308,7 +308,7 @@ def _recurse_and_assemble(run: _Run, session, best: _CandidateState,
     sites = sorted(sorrified.compile_result.sorries,
                    key=lambda s: (s.pos.line, s.pos.column))
 
-    sub_results: list[tuple[SourceSpan, _FrameResult | None]] = []
+    sub_results: list[tuple[SourceSpan | None, _FrameResult | None]] = []
     for ordinal, info in enumerate(sites, start=1):
         idx = info.pos.line - 1
         if idx >= len(mapping) or mapping[idx] is None:
@@ -332,20 +332,17 @@ def _recurse_and_assemble(run: _Run, session, best: _CandidateState,
     return assemble(sorrified, sub_results, config)
 
 
-def assemble(parent: SorrifiedScript, sub_outcomes: list,
+def assemble(parent: SorrifiedScript,
+             sub_outcomes: list[tuple[SourceSpan | None, _FrameResult | None]],
              config: RepairConfig | None = None) -> ProofScript:
     """Splice proved sub-proofs back in; unproved sites keep their sorry.
     Splicing runs in reverse position order so earlier spans stay valid."""
     config = config or RepairConfig()
     script = parent.script
     for span, sub in reversed(sub_outcomes):
-        if span is None or sub is None:
+        if span is None or sub is None or sub.status != PROVED or sub.script is None:
             continue
-        final = getattr(sub, "final_script", None) or getattr(sub, "script", None)
-        status = getattr(sub, "status", None)
-        if status != PROVED or final is None:
-            continue
-        script = splice_subproof(script, span, final, config.splice_mode)
+        script = splice_subproof(script, span, sub.script, config.splice_mode)
     return script
 
 

@@ -54,18 +54,6 @@ class MalformedResponse(ProtocolError):
     pass
 
 
-class FixtureError(ApolloError):
-    pass
-
-
-class UnknownRequest(FixtureError):
-    pass
-
-
-class MissingKey(FixtureError):
-    pass
-
-
 # --- syntax refiner ---
 
 class RefineError(ApolloError):

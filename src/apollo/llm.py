@@ -17,7 +17,7 @@ from pathlib import Path
 
 import requests
 
-from .errors import BackendError, MissingKey
+from .errors import BackendError
 from .proofscript import TheoremStatement
 
 MODE_INITIAL = "initial"
@@ -158,7 +158,12 @@ class HttpBackend:
                 raise BackendError("transport",
                                    f"unexpected status {response.status_code}: "
                                    f"{response.text[:200]}")
-            return response.json()
+            try:
+                return response.json()
+            except ValueError as exc:
+                raise BackendError("transport",
+                                   f"response body is not JSON: "
+                                   f"{response.text[:200]!r}") from exc
         raise BackendError("transport", f"gave up after retries: {last_exc}")
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
@@ -198,24 +203,18 @@ class MockBackend:
 
     The fixture directory has one subdirectory per statement name holding
     numbered candidate files plus a meta.json with per-candidate token
-    counts.  In popping mode candidates are consumed in order across calls;
-    exhaustion surfaces as an empty_completion error.
+    counts.  Candidates are consumed in order across calls; exhaustion, or
+    no directory for the name, surfaces as an empty_completion error.
     """
 
-    def __init__(self, fixture_dir, popping: bool = True, strict: bool = False,
-                 model_id: str = "mock"):
+    def __init__(self, fixture_dir):
         self.fixture_dir = Path(fixture_dir)
-        self.popping = popping
-        self.strict = strict
-        self.model_id = model_id
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def _load_key(self, key: str) -> tuple[list[str], list[int]]:
         directory = self.fixture_dir / key
         if not directory.is_dir():
-            if self.strict:
-                raise MissingKey(f"no fixture directory for {key!r}")
             return [], []
         files = sorted(p for p in directory.iterdir()
                        if p.suffix == ".lean" and p.stem.isdigit())
@@ -233,17 +232,12 @@ class MockBackend:
         key = request.statement.name
         candidates, tokens = self._load_key(key)
         with self._lock:
-            start = self._cursor.get(key, 0) if self.popping else 0
+            start = self._cursor.get(key, 0)
             chosen = candidates[start : start + request.k]
             used_tokens = tokens[start : start + request.k]
-            if self.popping:
-                self._cursor[key] = start + len(chosen)
+            self._cursor[key] = start + len(chosen)
         if not chosen:
             raise BackendError("empty_completion",
                                f"mock backend exhausted for {key!r}")
         return GenerationResult([extract_lean_code(c) for c in chosen],
-                                sum(used_tokens), self.model_id)
-
-
-def mock_backend(fixture_dir, popping: bool = True, strict: bool = False) -> MockBackend:
-    return MockBackend(fixture_dir, popping=popping, strict=strict)
+                                sum(used_tokens), "mock")

@@ -523,13 +523,6 @@ def body_lines(script: ProofScript) -> list[str]:
     return out
 
 
-def with_statement(script: ProofScript, statement: TheoremStatement) -> ProofScript:
-    """Reattach the parsed body under a different statement."""
-    lines = body_lines(script)
-    text = statement.header + statement.statement_text + "\n" + "\n".join(lines)
-    return parse_script(text, statement)
-
-
 def statement_matches(script: ProofScript, statement: TheoremStatement) -> bool:
     """Whitespace-insensitive comparison of the parsed statement against the
     canonical one."""

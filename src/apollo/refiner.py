@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .errors import RefineError, RuleBudgetExceeded
 from .proofscript import mask_regions
@@ -120,12 +120,6 @@ def load_rules(path) -> list[RewriteRule]:
     return rules
 
 
-def save_rules(rules: list[RewriteRule], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rule in rules:
-            fh.write(json.dumps(asdict(rule), ensure_ascii=False) + "\n")
-
-
 def _cut_masked_segments(source: str) -> tuple[str, list[str]]:
     """Replace each comment/string segment with an indexed placeholder."""
     masked = mask_regions(source)
@@ -187,11 +181,3 @@ def refine(source: str, rules: list[RewriteRule] | None = None) -> tuple[str, li
         if not sweep_changed:
             break
     return _restore_segments(work, segments), applied
-
-
-def matches_any_rule(text: str, rules: list[RewriteRule] | None = None) -> bool:
-    """Cheap trigger test: would the table change this text at all?"""
-    if rules is None:
-        rules = default_ruleset()
-    work, _ = _cut_masked_segments(text)
-    return any(r.compiled().search(work) for r in rules)

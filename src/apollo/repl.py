@@ -17,7 +17,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .errors import HeaderFailed, MalformedResponse, SpawnFailed, UnknownRequest
+from .errors import HeaderFailed, MalformedResponse, SpawnFailed
 
 PASS = "pass"
 PASS_WITH_SORRIES = "pass_with_sorries"
@@ -77,7 +77,7 @@ class CompileResult:
 
 def normalize_code(code: str) -> str:
     """Trim trailing whitespace per line and trailing blank lines; this is
-    the transcript key format."""
+    the form sent to the REPL."""
     lines = [ln.rstrip() for ln in code.split("\n")]
     while lines and not lines[-1]:
         lines.pop()
@@ -113,6 +113,12 @@ def classify(raw: dict) -> CompileResult:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedResponse(f"bad protocol message: {exc}") from exc
 
+    env = raw.get("env")
+    if env is None:
+        # a command-level error ({"message": ...}): nothing was compiled
+        diagnostics.append(Diagnostic(
+            "error", Position(1, 0), None,
+            raw.get("message") or "REPL reply carries no environment"))
     has_error = any(d.is_error for d in diagnostics)
     has_sorry_marker = any(
         SORRY_MARKER in d.message for d in diagnostics if d.severity == "warning"
@@ -123,7 +129,6 @@ def classify(raw: dict) -> CompileResult:
         status = PASS_WITH_SORRIES
     else:
         status = PASS
-    env = raw.get("env")
     return CompileResult(status, diagnostics, sorries,
                          int(env) if env is not None else None, raw=raw)
 
@@ -182,7 +187,8 @@ class Session:
     The import header is compiled once into a cached environment whose id is
     threaded into every later check, so Mathlib elaboration is paid once per
     (re)spawn.  After a Timeout the subprocess is killed and respawned lazily
-    on the next check; a crash mid-check is respawned and retried once.
+    on the next check; a crash mid-check, or a reply that is not JSON, is
+    respawned and retried once.
     """
 
     def __init__(self, command: list[str], project_root: str | None,
@@ -203,11 +209,17 @@ class Session:
             return
         result = self._roundtrip(self.import_header, DEFAULT_TIMEOUT)
         if result.status != PASS:
-            diags = result.errors or result.diagnostics
+            self._drop()
+            if result.status in (REPL_CRASH, TIMEOUT):
+                raise SpawnFailed(f"{shlex.join(self.command)}: {result.status} "
+                                  f"on the import header")
+            raise HeaderFailed(result.errors or result.diagnostics)
+        self._env = result.env_id
+
+    def _drop(self):
+        if self._proc is not None:
             self._proc.kill()
             self._proc = None
-            raise HeaderFailed(diags)
-        self._env = result.env_id
 
     def _roundtrip(self, code: str, timeout: float) -> CompileResult:
         """Send one request and wait for its response; no retry logic."""
@@ -220,12 +232,15 @@ class Session:
         try:
             payload = self._proc.responses.get(timeout=timeout)
         except queue.Empty:
-            self._proc.kill()
-            self._proc = None
+            self._drop()
             return CompileResult(TIMEOUT, wall_time=time.monotonic() - started)
-        if payload is None:
+        try:
+            reply = None if payload is None else json.loads(payload)
+        except ValueError:
+            reply = None  # undecodable: the caller kills the process
+        if reply is None:
             return CompileResult(REPL_CRASH, wall_time=time.monotonic() - started)
-        result = classify(json.loads(payload))
+        result = classify(reply)
         result.wall_time = time.monotonic() - started
         return result
 
@@ -242,22 +257,16 @@ class Session:
             result = self._roundtrip(code, timeout)
             if result.status == REPL_CRASH:
                 # one retry on a fresh subprocess
-                if self._proc is not None:
-                    self._proc.kill()
-                self._proc = None
+                self._drop()
                 self._spawn_and_prime()
                 result = self._roundtrip(code, timeout)
                 if result.status == REPL_CRASH:
-                    if self._proc is not None:
-                        self._proc.kill()
-                    self._proc = None
+                    self._drop()
             return result
 
     def close(self):
         with self._lock:
-            if self._proc is not None:
-                self._proc.kill()
-                self._proc = None
+            self._drop()
 
 
 def start_session(repl_executable, project_root=None,
@@ -272,86 +281,6 @@ def start_session(repl_executable, project_root=None,
     else:
         command = shlex.split(str(repl_executable))
     return Session(command, project_root, import_header)
-
-
-class MockSession:
-    """Transcript-backed stand-in for a Session.
-
-    Lookup is stateless: the same code always maps to the same recorded
-    response.  Unknown code raises UnknownRequest in strict mode, otherwise
-    returns a marker failure so tests notice the divergence in-band.
-    """
-
-    def __init__(self, transcript: list[dict], strict: bool = True):
-        self._responses: dict[str, dict] = {}
-        for entry in transcript:
-            key = normalize_code(entry["request"]["cmd"])
-            self._responses.setdefault(key, entry["response"])
-        self.strict = strict
-        self.checks_issued = 0
-
-    @classmethod
-    def from_file(cls, path, strict: bool = True) -> "MockSession":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh), strict=strict)
-
-    def check(self, code: str, timeout: float = DEFAULT_TIMEOUT) -> CompileResult:
-        self.checks_issued += 1
-        key = normalize_code(code)
-        raw = self._responses.get(key)
-        if raw is None:
-            if self.strict:
-                raise UnknownRequest(
-                    f"no transcript entry for code beginning "
-                    f"{key.splitlines()[0][:80]!r}"
-                )
-            raw = {
-                "env": -1,
-                "messages": [{
-                    "severity": "error",
-                    "pos": {"line": 1, "column": 0},
-                    "endPos": None,
-                    "data": "mock session: unrecorded request",
-                }],
-                "sorries": [],
-            }
-        return classify(raw)
-
-    def close(self):
-        pass
-
-
-def mock_session(transcript, strict: bool = True) -> MockSession:
-    """Build a MockSession from a transcript file path or a loaded list."""
-    if isinstance(transcript, (str, bytes)) or hasattr(transcript, "__fspath__"):
-        return MockSession.from_file(transcript, strict=strict)
-    return MockSession(list(transcript), strict=strict)
-
-
-class RecordingSession:
-    """Wraps a live session and records every request/response pair in
-    transcript format."""
-
-    def __init__(self, inner: Session):
-        self.inner = inner
-        self.entries: list[dict] = []
-
-    def check(self, code: str, timeout: float = DEFAULT_TIMEOUT) -> CompileResult:
-        result = self.inner.check(code, timeout)
-        if result.raw is not None:
-            self.entries.append({
-                "request": {"cmd": normalize_code(code)},
-                "response": result.raw,
-            })
-        return result
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.entries, fh, ensure_ascii=False, indent=1)
-            fh.write("\n")
-
-    def close(self):
-        self.inner.close()
 
 
 class SessionPool:

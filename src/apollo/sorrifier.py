@@ -60,12 +60,6 @@ def pp_preamble() -> str:
     return "\n".join(f"set_option {opt} true" for opt in _PP_OPTIONS)
 
 
-def strip_preamble(text: str) -> str:
-    return "\n".join(
-        ln for ln in text.split("\n") if not ln.lstrip().startswith("set_option pp.")
-    )
-
-
 @dataclass
 class RepairAction:
     kind: str

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from apollo.proofscript import TheoremStatement
 from apollo.repl import SessionPool, start_session
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -145,6 +146,11 @@ SUITE_CANDIDATES = {
 
 SUITE_ITEMS = ["thm_r0", "thm_refine", "thm_auto", "thm_r1", "thm_r2",
                "thm_r3", "thm_fail"]
+
+
+def suite_statement(name):
+    first = SUITE_CANDIDATES[name].split("\n")[0].replace(" from by", " := by")
+    return TheoremStatement(name, "import Mathlib\n", first)
 
 
 def write_llm_fixtures(root: Path, candidates: dict, copies: int = 1,

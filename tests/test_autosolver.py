@@ -97,7 +97,8 @@ def test_hint_suggestion_validated_and_filtered(session):
     info = sorrified.compile_result.sorries[0]
     span = SourceSpan(mapping[info.pos.line - 1], info.pos.column,
                       mapping[info.pos.line - 1], info.end_pos.column)
-    validated = hint_candidates(sorrified.script, span, session)
+    baseline = len(sorrified.compile_result.sorries)
+    validated = hint_candidates(sorrified.script, span, session, baseline)
     assert [c.text for c in validated] == ["gcongr"]  # progress-only filtered
 
     out = solve_sorries(sorrified, session)
@@ -112,7 +113,8 @@ def test_hint_failure_yields_empty_list(session):
     info = sorrified.compile_result.sorries[0]
     span = SourceSpan(mapping[info.pos.line - 1], info.pos.column,
                       mapping[info.pos.line - 1], info.end_pos.column)
-    assert hint_candidates(sorrified.script, span, session) == []
+    baseline = len(sorrified.compile_result.sorries)
+    assert hint_candidates(sorrified.script, span, session, baseline) == []
 
 
 def test_unclosable_sorry_remains(session):

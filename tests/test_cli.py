@@ -1,0 +1,40 @@
+import json
+import logging
+
+from apollo.cli import load_dataset, run
+from apollo.config import RepairConfig
+from apollo.engine import FAILED, PROVED
+from apollo.llm import MockBackend
+
+
+class _RaisesFor:
+    """A backend that raises a non-package error for one statement."""
+
+    def __init__(self, inner, name):
+        self.inner = inner
+        self.name = name
+
+    def generate(self, request):
+        if request.statement.name == self.name:
+            raise RuntimeError("backend blew up")
+        return self.inner.generate(request)
+
+
+def test_unexpected_error_fails_one_item_and_batch_goes_on(
+        mock_suite, suite_pool, tmp_path, caplog):
+    by_name = {item.name: item for item in load_dataset(mock_suite["dataset"])}
+    items = [by_name["thm_refine"], by_name["thm_r0"]]
+    backend = _RaisesFor(MockBackend(mock_suite["llm"]), "thm_refine")
+    out = tmp_path / "results.jsonl"
+    with caplog.at_level(logging.ERROR, logger="apollo.cli"):
+        report = run(items, RepairConfig(max_depth_r=1, k_per_goal=4),
+                     backend, suite_pool, out)
+
+    first, second = report.records
+    assert first["name"] == "thm_refine" and first["status"] == FAILED
+    assert "backend blew up" in first["failure_reason"]
+    assert second["name"] == "thm_r0" and second["status"] == PROVED
+    written = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["name"] for r in written] == ["thm_refine", "thm_r0"]
+    logged = [r for r in caplog.records if "thm_refine" in r.getMessage()]
+    assert logged and logged[0].exc_info is not None  # with its traceback

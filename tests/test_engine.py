@@ -14,7 +14,7 @@ from apollo.engine import (
 )
 from apollo.llm import GenerationRequest, MockBackend
 from apollo.proofscript import TheoremStatement, count_sorries, parse_script, serialize
-from apollo.repl import PASS, SessionPool, start_session
+from apollo.repl import PASS, SessionPool, classify, start_session
 from apollo.sorrifier import SorrifiedScript
 from conftest import (
     FIXTURES,
@@ -22,15 +22,11 @@ from conftest import (
     STATEMENT_332,
     SUITE_CANDIDATES,
     fake_repl_cmd,
+    suite_statement,
     write_llm_fixtures,
 )
 
 STATEMENT = TheoremStatement("mathd_algebra_332", HEADER_332, STATEMENT_332)
-
-
-def suite_statement(name):
-    first = SUITE_CANDIDATES[name].split("\n")[0].replace(" from by", " := by")
-    return TheoremStatement(name, "import Mathlib\n", first)
 
 
 def run_suite_theorem(name, pool, mock_suite, r, **config_kwargs):
@@ -53,7 +49,7 @@ def test_worked_example_full_repair(pool_332):
     assert outcome.ledger.module_triggers["auto_solver"] == 1
     assert outcome.ledger.module_triggers["llm_reinvoker"] == 2
     assert outcome.ledger.samples_used == 3  # one candidate per generation
-    assert outcome.audit.max_depth() == 1
+    assert max(e.depth for e in outcome.audit.events) == 1
     text = serialize(outcome.final_script)
     assert "set_option pp." not in text
     assert "sorry" not in text
@@ -404,3 +400,18 @@ def test_feedback_reentry_consumes_second_candidate(mock_suite, tmp_path):
         assert "feedback_reentry" in actions
     finally:
         pool.close()
+
+
+class _ErrorReplySession:
+    """Answers every request the way the REPL answers a command it could
+    not run at all: no env, only a message."""
+
+    def check(self, code, timeout=None):
+        return classify({"message": "Unknown environment."})
+
+
+def test_verify_final_never_proves_on_error_reply():
+    status, result = verify_final(
+        parse_script("theorem t : 1 = 1 := by rfl"), _ErrorReplySession())
+    assert status == FAILED
+    assert result.errors[0].message == "Unknown environment."

@@ -1,0 +1,104 @@
+"""Pinned `Outcome.canonical()` documents for the worked example, the mock
+suite and the ablation matrix.
+
+`canonical()` holds the final text, the status, the audit trail and the
+ledger, including `repl_calls`, so a byte-equal match pins behaviour and
+compile count alike.  Each group runs on one fresh session in a fixed order.
+
+After a deliberate change of behaviour, regenerate the file with
+    PYTHONPATH=src:tests python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+from apollo.config import RepairConfig
+from apollo.engine import apollo
+from apollo.llm import MockBackend
+from apollo.proofscript import TheoremStatement
+from apollo.repl import SessionPool, start_session
+from conftest import (
+    FIXTURES,
+    HEADER_332,
+    STATEMENT_332,
+    SUITE_CANDIDATES,
+    SUITE_ITEMS,
+    SUITE_RULES,
+    fake_repl_cmd,
+    suite_statement,
+    write_llm_fixtures,
+)
+
+GOLDEN = Path(__file__).parent / "golden" / "canonical.json"
+
+ABLATION_ITEMS = ["thm_r0", "thm_refine", "thm_auto", "thm_r1", "thm_fail"]
+
+
+def _pool(rules):
+    return SessionPool.build(lambda: start_session(fake_repl_cmd(rules)), 1)
+
+
+def documents(root: Path) -> dict[str, str]:
+    """Label -> canonical() for all 48 runs; `root` is a scratch directory."""
+    docs = {}
+
+    pool = _pool(FIXTURES / "rules_332.json")
+    try:
+        config = RepairConfig(max_depth_r=1, k_per_goal=32)
+        statement = TheoremStatement("mathd_algebra_332", HEADER_332, STATEMENT_332)
+        docs["worked_332"] = apollo(statement, 0, config,
+                                    MockBackend(FIXTURES / "llm_332"),
+                                    pool).canonical()
+    finally:
+        pool.close()
+
+    rules = root / "fake_rules.json"
+    rules.write_text(json.dumps(SUITE_RULES, ensure_ascii=False))
+    llm = root / "llm"
+    write_llm_fixtures(llm, SUITE_CANDIDATES)
+
+    def run_group(prefix, names, **config_kwargs):
+        pool = _pool(rules)
+        try:
+            for name in names:
+                config = RepairConfig(k_per_goal=4, **config_kwargs)
+                docs[f"{prefix}/{name}"] = apollo(
+                    suite_statement(name), 0, config, MockBackend(llm),
+                    pool).canonical()
+        finally:
+            pool.close()
+
+    run_group("suite_r3", SUITE_ITEMS, max_depth_r=3)
+    for refiner in (False, True):
+        for solver in (False, True):
+            for reinvoker in (False, True):
+                run_group(f"ablation_r1_{int(refiner)}{int(solver)}{int(reinvoker)}",
+                          ABLATION_ITEMS, max_depth_r=1,
+                          enable_syntax_refiner=refiner,
+                          enable_auto_solver=solver,
+                          enable_llm_reinvoker=reinvoker)
+    return docs
+
+
+def render(docs: dict[str, str]) -> str:
+    return json.dumps(docs, ensure_ascii=False, indent=1) + "\n"
+
+
+def test_canonical_outcomes_byte_identical(tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    docs = documents(tmp_path)
+    assert len(docs) == 48
+    assert list(docs) == list(expected)
+    for label, doc in docs.items():
+        assert doc == expected[label], label
+    assert render(docs) == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(render(documents(Path(scratch))), encoding="utf-8")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

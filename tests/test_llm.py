@@ -4,7 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from apollo.errors import BackendError, MissingKey
+from apollo.errors import BackendError
 from apollo.llm import (
     Decoding,
     GenerationRequest,
@@ -110,20 +110,6 @@ def test_mock_backend_pops_in_order(tmp_path):
     assert excinfo.value.kind == "empty_completion"
 
 
-def test_mock_backend_non_popping_identical(tmp_path):
-    _write_fixture(tmp_path, "demo", ["cand0", "cand1"], [5, 7])
-    backend = MockBackend(tmp_path, popping=False)
-    first = backend.generate(GenerationRequest(STMT, k=1))
-    second = backend.generate(GenerationRequest(STMT, k=1))
-    assert first == second
-
-
-def test_mock_backend_strict_missing_key(tmp_path):
-    backend = MockBackend(tmp_path, strict=True)
-    with pytest.raises(MissingKey):
-        backend.generate(GenerationRequest(STMT, k=1))
-
-
 def test_mock_backend_extracts_fenced_code(tmp_path):
     _write_fixture(tmp_path, "demo", ["```lean\ninner proof\n```"])
     backend = MockBackend(tmp_path)
@@ -134,7 +120,7 @@ def test_mock_backend_extracts_fenced_code(tmp_path):
 
 class _Endpoint(BaseHTTPRequestHandler):
     calls = []
-    behavior = []  # queue of ("ok"|"500"|"429", payload) entries
+    behavior = []  # queue of ("ok"|"500"|"429"|"text", payload) entries
 
     def do_POST(self):  # noqa: N802
         length = int(self.headers["Content-Length"])
@@ -151,6 +137,14 @@ class _Endpoint(BaseHTTPRequestHandler):
             self.send_response(429)
             self.send_header("Retry-After", "0.05")
             self.end_headers()
+            return
+        if kind == "text":
+            data = payload.encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
             return
         n = body.get("n", 1)
         response = payload or {
@@ -234,3 +228,11 @@ def test_http_backend_empty_completion(endpoint):
     with pytest.raises(BackendError) as excinfo:
         backend.generate(GenerationRequest(STMT, k=1))
     assert excinfo.value.kind == "empty_completion"
+
+
+def test_http_backend_non_json_body_is_transport_error(endpoint):
+    _Endpoint.behavior = [("text", "<html>gateway says hello</html>")]
+    backend = HttpBackend(endpoint, "m")
+    with pytest.raises(BackendError) as excinfo:
+        backend.generate(GenerationRequest(STMT, k=1))
+    assert excinfo.value.kind == "transport"

@@ -18,7 +18,6 @@ from apollo.proofscript import (
     replace_span_text,
     serialize,
     statement_matches,
-    with_statement,
 )
 from conftest import corpus_scripts
 
@@ -185,8 +184,6 @@ def test_with_statement_and_matching():
     other = script.statement.__class__(
         "demo", "", "theorem demo (x : ℝ) (hx : 0 < x) : x ^ 2 + 1 > 0  :=  by")
     assert statement_matches(script, other)
-    moved = with_statement(script, other)
-    assert moved.statement.statement_text.endswith(":=  by")
 
 
 def test_tree_rebuilt_after_edit_satisfies_invariants():

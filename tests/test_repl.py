@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from apollo.errors import HeaderFailed, MalformedResponse, SpawnFailed, UnknownRequest
+from apollo.errors import HeaderFailed, MalformedResponse, SpawnFailed
 from apollo.repl import (
     FAIL,
     PASS,
@@ -13,11 +13,8 @@ from apollo.repl import (
     REPL_CRASH,
     TIMEOUT,
     TIMEOUT_GRACE,
-    MockSession,
-    RecordingSession,
     SessionPool,
     classify,
-    mock_session,
     normalize_code,
     start_session,
 )
@@ -112,16 +109,25 @@ def test_classify_malformed():
         classify("not a dict")
 
 
+def test_classify_error_reply_is_fail():
+    result = classify({"message": "Unknown environment."})
+    assert result.status == FAIL
+    assert [d.message for d in result.errors] == ["Unknown environment."]
+    assert result.env_id is None
+    empty = classify({})
+    assert empty.status == FAIL and len(empty.errors) == 1
+
+
 def test_classify_idempotent_over_transcript(plain_session):
-    rec = RecordingSession(plain_session)
-    rec.check("theorem t : 1 = 1 := by rfl")
-    rec.check("theorem t : 1 = 1 := by\n  sorry")
-    rec.check("theorem t : 1 = 1 := by\n  nope_tac")
-    for entry in rec.entries:
-        first = classify(entry["response"])
-        second = classify(entry["response"])
-        assert first.status == second.status
-        assert first.diagnostics == second.diagnostics
+    codes = ["theorem t : 1 = 1 := by rfl",
+             "theorem t : 1 = 1 := by\n  sorry",
+             "theorem t : 1 = 1 := by\n  nope_tac"]
+    for code in codes:
+        live = plain_session.check(code)
+        first = classify(live.raw)
+        second = classify(live.raw)
+        assert first.status == second.status == live.status
+        assert first.diagnostics == second.diagnostics == live.diagnostics
 
 
 def test_timeout_contract_and_recovery():
@@ -168,37 +174,30 @@ def test_one_in_flight_request_per_session(plain_session):
     assert elapsed >= 0.6  # serialized, not interleaved
 
 
-def test_mock_session_replay_and_determinism(plain_session, tmp_path):
-    rec = RecordingSession(plain_session)
-    codes = [
-        "theorem t : 1 = 1 := by rfl",
-        "theorem t : 2 + 2 = 4 := by\n  sorry",
-    ]
-    live = [rec.check(c) for c in codes]
-    path = tmp_path / "transcript.json"
-    rec.save(path)
-
-    mock = mock_session(path)
-    for code, expect in zip(codes, live):
-        replayed = mock.check(code)
-        assert replayed.status == expect.status
-        assert replayed.sorries == expect.sorries
-    first = mock.check(codes[0])
-    second = mock.check(codes[0])
-    assert first.status == second.status and first.raw == second.raw
+# answers every request with a line that is not JSON
+NOT_JSON_REPL = [sys.executable, "-c", (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    if not line.strip():\n"
+    "        sys.stdout.write('not json\\n\\n')\n"
+    "        sys.stdout.flush()\n"
+)]
 
 
-def test_mock_session_strict_unknown():
-    mock = MockSession([], strict=True)
-    with pytest.raises(UnknownRequest):
-        mock.check("theorem t : 1 = 1 := by rfl")
+def test_undecodable_reply_is_repl_crash():
+    session = start_session(NOT_JSON_REPL, import_header="")
+    try:
+        result = session.check("theorem t : 1 = 1 := by rfl", timeout=10)
+        assert result.status == REPL_CRASH
+    finally:
+        session.close()
 
 
-def test_mock_session_lenient_marker():
-    mock = MockSession([], strict=False)
-    result = mock.check("anything")
-    assert result.status == FAIL
-    assert "unrecorded" in result.errors[0].message
+def test_repl_dying_while_priming_is_spawn_failure():
+    with pytest.raises(SpawnFailed) as excinfo:
+        start_session(["false"])
+    assert "repl_crash" in str(excinfo.value)
+    assert "false" in str(excinfo.value)
 
 
 def test_normalize_code_trims_trailing_whitespace():

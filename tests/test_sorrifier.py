@@ -11,7 +11,6 @@ from apollo.sorrifier import (
     pp_preamble,
     replay_actions,
     sorrify,
-    strip_preamble,
     validate_statement,
 )
 
@@ -258,13 +257,6 @@ def test_pp_preamble_has_nine_distinct_options():
     assert len(set(lines)) == 9
     assert all(ln.startswith("set_option pp.") and ln.endswith(" true")
                for ln in lines)
-
-
-def test_strip_preamble_removes_all_pp_lines():
-    text = pp_preamble() + "\ntheorem t : 1 = 1 := by rfl"
-    stripped = strip_preamble(text)
-    assert "set_option pp." not in stripped
-    assert "theorem t" in stripped
 
 
 def test_goal_text_annotated_only_under_preamble(plain_session):
