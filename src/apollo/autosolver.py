@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass
 
 from .config import RepairConfig
-from .proofscript import ProofScript, SourceSpan, compile_lines, replace_span_text
-from .repl import CompileResult, SorryInfo
-from .sorrifier import SorrifiedScript, pp_preamble
+from .proofscript import ProofScript, SourceSpan, replace_span_text
+from .repl import CompileResult
+from .sorrifier import SorrifiedScript, check_script
 
 log = logging.getLogger(__name__)
 
@@ -101,20 +101,11 @@ def parse_hint_suggestions(result: CompileResult) -> list[str]:
     return suggestions
 
 
-def _sorry_span(site: SorryInfo, mapping: list[int | None]) -> SourceSpan | None:
-    idx = site.pos.line - 1
-    if idx < 0 or idx >= len(mapping) or mapping[idx] is None:
-        return None
-    line = mapping[idx]
-    return SourceSpan(line, site.pos.column, line, site.end_pos.column)
-
-
 def _trial(script: ProofScript, span: SourceSpan, text: str, session,
            config: RepairConfig) -> tuple[ProofScript, CompileResult]:
     candidate_script = replace_span_text(script, span, text)
-    code, _ = compile_lines(candidate_script, pp_preamble())
-    result = session.check(code, config.candidate_timeout)
-    return candidate_script, result
+    return candidate_script, check_script(candidate_script, session,
+                                          config.candidate_timeout, pp=True)
 
 
 def _closes(result: CompileResult, baseline_sorries: int) -> bool:
@@ -153,15 +144,15 @@ def solve_sorries(s: SorrifiedScript, session,
     skipped = 0
 
     while True:
-        _, mapping = compile_lines(script, pp_preamble())
         sorries = sorted(result.sorries, key=lambda x: (x.pos.line, x.pos.column))
         if skipped >= len(sorries):
             break
         site = sorries[skipped]
-        span = _sorry_span(site, mapping)
-        if span is None:
+        if site.pos.line == 0:
             skipped += 1
             continue
+        span = SourceSpan(site.pos.line, site.pos.column,
+                          site.pos.line, site.end_pos.column)
 
         committed = False
         candidates = hint_candidates(script, span, session, len(sorries), config)

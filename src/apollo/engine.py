@@ -39,7 +39,6 @@ from .proofscript import (
     ProofScript,
     SourceSpan,
     TheoremStatement,
-    compile_lines,
     count_sorries,
     mask_regions,
     parse_script,
@@ -48,7 +47,7 @@ from .proofscript import (
 )
 from .refiner import default_ruleset, load_rules, refine
 from .repl import FAIL, PASS, PASS_WITH_SORRIES, CompileResult
-from .sorrifier import SorrifiedScript, pp_preamble, sorrify, validate_statement
+from .sorrifier import SorrifiedScript, check_script, sorrify, validate_statement
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +59,6 @@ REASON_STATEMENT_MALFORMED = "statement_malformed"
 REASON_ALL_CANDIDATES_MALFORMED = "all_candidates_malformed"
 REASON_BUDGET_EXHAUSTED = "budget_exhausted"
 REASON_BACKEND = "backend_error"
-REASON_NONTERMINATING = "nonterminating"
 
 
 class _BudgetExhausted(ApolloError):
@@ -149,8 +147,7 @@ def verify_final(script: ProofScript, session,
     """Full compile without the pp preamble plus a token scan; a proof is
     Proved only when the compiler passes and no sorry/admit token remains."""
     config = config or RepairConfig()
-    code, _ = compile_lines(script)
-    result = session.check(code, config.compile_timeout)
+    result = check_script(script, session, config.compile_timeout)
     if result.status == PASS and count_sorries(script) == 0:
         return PROVED, result
     if result.status in (PASS, PASS_WITH_SORRIES):
@@ -304,18 +301,16 @@ def _recurse_and_assemble(run: _Run, session, best: _CandidateState,
     config = run.config
     sorrified = best.sorrified
     script = sorrified.script
-    _, mapping = compile_lines(script, pp_preamble())
     sites = sorted(sorrified.compile_result.sorries,
                    key=lambda s: (s.pos.line, s.pos.column))
 
     sub_results: list[tuple[SourceSpan | None, _FrameResult | None]] = []
     for ordinal, info in enumerate(sites, start=1):
-        idx = info.pos.line - 1
-        if idx >= len(mapping) or mapping[idx] is None:
+        if info.pos.line == 0:
             sub_results.append((None, None))
             continue
-        span = SourceSpan(mapping[idx], info.pos.column,
-                          mapping[idx], info.end_pos.column)
+        span = SourceSpan(info.pos.line, info.pos.column,
+                          info.pos.line, info.end_pos.column)
         try:
             ctx = extract_goal(info, script, span, ordinal)
             sub_statement = transform_goal(ctx, session, config)

@@ -57,7 +57,6 @@ class GenerationRequest:
 class GenerationResult:
     candidates: list[str]
     tokens_generated: int
-    model_id: str
     tokens_estimated: bool = False
 
 
@@ -70,15 +69,8 @@ def extract_lean_code(completion: str) -> str:
 
 
 def _format_diagnostics(diagnostics) -> str:
-    parts = []
-    for d in diagnostics:
-        pos = getattr(d, "pos", None)
-        if pos is not None:
-            parts.append(f"line {pos.line}, column {pos.column}: "
-                         f"{d.severity}: {d.message}")
-        else:
-            parts.append(str(d))
-    return "\n".join(parts)
+    return "\n".join(f"line {d.pos.line}, column {d.pos.column}: "
+                     f"{d.severity}: {d.message}" for d in diagnostics)
 
 
 def render_prompt(request: GenerationRequest) -> str:
@@ -194,8 +186,7 @@ class HttpBackend:
             candidates.extend(extract_lean_code(t) for t in texts)
         if not candidates:
             raise BackendError("empty_completion", "endpoint returned no text")
-        return GenerationResult(candidates[: request.k], tokens, self.model,
-                                estimated)
+        return GenerationResult(candidates[: request.k], tokens, estimated)
 
 
 class MockBackend:
@@ -240,4 +231,4 @@ class MockBackend:
             raise BackendError("empty_completion",
                                f"mock backend exhausted for {key!r}")
         return GenerationResult([extract_lean_code(c) for c in chosen],
-                                sum(used_tokens), "mock")
+                                sum(used_tokens))

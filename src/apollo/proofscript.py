@@ -538,7 +538,8 @@ def compile_lines(script: ProofScript, preamble: str | None = None) -> tuple[str
 
     Import lines are dropped (the session's cached environment already holds
     them); an optional preamble is prepended.  Entries in the returned map
-    are 1-based script line numbers, or None for preamble lines.
+    are 1-based script line numbers, or None for preamble lines.  Only
+    `sorrifier.check_script` reads the map.
     """
     script_lines = _script_lines(script)
     masked = mask_regions("\n".join(script_lines)).split("\n")

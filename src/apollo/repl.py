@@ -179,6 +179,15 @@ class _Proc:
             self.popen.wait(timeout=5)
         except Exception:
             pass
+        try:
+            self.popen.stdin.close()
+        except OSError:
+            pass  # unsent bytes to a dead child: the pipe is closed anyway
+        # stdout is the reader's until it has seen EOF; if it is still
+        # blocked a second later, the daemon thread keeps the pipe
+        self._reader.join(timeout=1.0)
+        if not self._reader.is_alive():
+            self.popen.stdout.close()
 
 
 class Session:

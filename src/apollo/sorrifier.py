@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .config import RepairConfig
 from .errors import NoEnclosingNode, Nonterminating, SorrifyError, StatementMalformed
@@ -30,7 +30,7 @@ from .proofscript import (
     replace_line_with_sorry,
     serialize,
 )
-from .repl import FAIL, CompileResult, Diagnostic, Position
+from .repl import FAIL, CompileResult, Diagnostic, Position, SorryInfo
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +70,9 @@ class RepairAction:
 
 @dataclass
 class SorrifiedScript:
+    """`compile_result` holds positions in script lines (`check_script`),
+    except for a candidate accepted as generated: the Pass of its raw text."""
+
     script: ProofScript
     actions: list[RepairAction]
     compile_result: CompileResult
@@ -235,33 +238,47 @@ def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) 
     return _block_action(script, block_path, diag, attempt_history)
 
 
+def check_script(script: ProofScript, session, timeout: float,
+                 pp: bool = False) -> CompileResult:
+    """Compile `script`, with the pp preamble when `pp`, and return the
+    result with every diagnostic and sorry position in script lines.
+
+    A position on no script line (a preamble line, or one past the end of
+    the code) gets line 0, and a diagnostic's end position there becomes
+    None.  Such diagnostics are kept: the `hint` suggestions arrive in an
+    info message that need not sit on a script line.
+    """
+    code, mapping = compile_lines(script, pp_preamble() if pp else None)
+    result = session.check(code, timeout)
+
+    def at(pos: Position | None) -> Position | None:
+        if pos is None or not 0 < pos.line <= len(mapping) or not mapping[pos.line - 1]:
+            return None
+        return Position(mapping[pos.line - 1], pos.column)
+
+    def placed(pos: Position) -> Position:
+        return at(pos) or Position(0, pos.column)
+
+    diagnostics = [Diagnostic(d.severity, placed(d.pos), at(d.end_pos), d.message)
+                   for d in result.diagnostics]
+    sorries = [SorryInfo(placed(s.pos), placed(s.end_pos), s.goal, s.proof_state_id)
+               for s in result.sorries]
+    return replace(result, diagnostics=diagnostics, sorries=sorries)
+
+
 def validate_statement(statement: TheoremStatement, session,
                        config: RepairConfig | None = None) -> CompileResult:
     """Compile `statement := by sorry`; errors anywhere mean the statement
     itself is unusable and the caller must request a fresh generation."""
     config = config or RepairConfig()
     probe = statement.header + statement.statement_text + "\n  sorry"
-    script = parse_script(probe, statement)
-    code, _ = compile_lines(script)
-    result = session.check(code, config.compile_timeout)
+    result = check_script(parse_script(probe, statement), session,
+                          config.compile_timeout)
     if result.status == FAIL:
         raise StatementMalformed(result.errors)
     if not result.ok:
         raise SorrifyError(f"statement probe ended with status {result.status}")
     return result
-
-
-def _translate(diag: Diagnostic, mapping: list[int | None]) -> Diagnostic | None:
-    idx = diag.pos.line - 1
-    if idx < 0 or idx >= len(mapping) or mapping[idx] is None:
-        return None
-    end = None
-    if diag.end_pos is not None:
-        eidx = diag.end_pos.line - 1
-        if 0 <= eidx < len(mapping) and mapping[eidx] is not None:
-            end = Position(mapping[eidx], diag.end_pos.column)
-    return Diagnostic(diag.severity, Position(mapping[idx], diag.pos.column),
-                      end, diag.message)
 
 
 def sorrify(script: ProofScript, session, config: RepairConfig | None = None) -> SorrifiedScript:
@@ -275,21 +292,18 @@ def sorrify(script: ProofScript, session, config: RepairConfig | None = None) ->
     actions: list[RepairAction] = []
     history: dict = {}
     cap = 2 * script.root.line_count() + 8
-    preamble = pp_preamble()
 
     for _ in range(cap):
-        code, mapping = compile_lines(script, preamble)
-        result = session.check(code, config.compile_timeout)
+        result = check_script(script, session, config.compile_timeout, pp=True)
         if result.ok:
             return SorrifiedScript(script, actions, result)
         if result.status != FAIL:
             raise SorrifyError(f"compile ended with status {result.status}")
 
-        errors = sorted(result.errors, key=lambda d: (d.pos.line, d.pos.column))
-        translated = [t for t in (_translate(d, mapping) for d in errors) if t]
-        if not translated:
+        placed = [d for d in result.errors if d.pos.line > 0]
+        if not placed:
             raise SorrifyError("compile failed with no mappable diagnostics")
-        diag = translated[0]
+        diag = min(placed, key=lambda d: (d.pos.line, d.pos.column))
         try:
             action = choose_repair(diag, script, history)
         except NoEnclosingNode:

@@ -15,13 +15,12 @@ from apollo.autosolver import (
 )
 from apollo.proofscript import (
     SourceSpan,
-    compile_lines,
     count_sorries,
     parse_script,
     serialize,
 )
 from apollo.repl import PASS, PASS_WITH_SORRIES, start_session
-from apollo.sorrifier import SorrifiedScript, pp_preamble, sorrify
+from apollo.sorrifier import SorrifiedScript, sorrify
 from conftest import fake_repl_cmd
 
 RULES = {
@@ -54,6 +53,12 @@ def session(rules_path):
 
 def _sorrified(source, session):
     return sorrify(parse_script(source), session)
+
+
+def _first_site(sorrified):
+    info = sorrified.compile_result.sorries[0]  # in script lines
+    return SourceSpan(info.pos.line, info.pos.column,
+                      info.pos.line, info.end_pos.column)
 
 
 def test_suite_order_and_shape():
@@ -93,10 +98,7 @@ def test_order_matters_ring_nf_before_nlinarith(session):
 def test_hint_suggestion_validated_and_filtered(session):
     src = "theorem t : 1 = 1 := by\n  have h : G2 := by\n    sorry\n  rfl\n"
     sorrified = _sorrified(src, session)
-    _, mapping = compile_lines(sorrified.script, pp_preamble())
-    info = sorrified.compile_result.sorries[0]
-    span = SourceSpan(mapping[info.pos.line - 1], info.pos.column,
-                      mapping[info.pos.line - 1], info.end_pos.column)
+    span = _first_site(sorrified)
     baseline = len(sorrified.compile_result.sorries)
     validated = hint_candidates(sorrified.script, span, session, baseline)
     assert [c.text for c in validated] == ["gcongr"]  # progress-only filtered
@@ -109,10 +111,7 @@ def test_hint_suggestion_validated_and_filtered(session):
 def test_hint_failure_yields_empty_list(session):
     src = "theorem t : 1 = 1 := by\n  have h : G3 := by\n    sorry\n  rfl\n"
     sorrified = _sorrified(src, session)
-    _, mapping = compile_lines(sorrified.script, pp_preamble())
-    info = sorrified.compile_result.sorries[0]
-    span = SourceSpan(mapping[info.pos.line - 1], info.pos.column,
-                      mapping[info.pos.line - 1], info.end_pos.column)
+    span = _first_site(sorrified)
     baseline = len(sorrified.compile_result.sorries)
     assert hint_candidates(sorrified.script, span, session, baseline) == []
 

@@ -15,7 +15,7 @@ from apollo.engine import (
 from apollo.llm import GenerationRequest, MockBackend
 from apollo.proofscript import TheoremStatement, count_sorries, parse_script, serialize
 from apollo.repl import PASS, SessionPool, classify, start_session
-from apollo.sorrifier import SorrifiedScript
+from apollo.sorrifier import SorrifiedScript, check_script
 from conftest import (
     FIXTURES,
     HEADER_332,
@@ -108,9 +108,6 @@ def test_proved_set_monotone_in_r(suite_pool, mock_suite):
 
 
 # --- ledger exactness --------------------------------------------------------
-
-LEDGER_RULES = json.loads((FIXTURES.parent / "conftest.py").read_text()
-                          if False else "{}")  # placeholder, see fixture below
 
 LEDGER_CANDIDATES = {
     "thmL": (
@@ -322,16 +319,31 @@ def test_verify_final_classification(plain_session):
     assert admitted == PARTIAL_WITH_SORRIES  # admit is never a proof
 
 
+def test_verify_final_reports_errors_in_script_lines(plain_session):
+    # the import lines are not sent to the REPL, but the feedback prompt
+    # shows the script with them: line 6 is the bad tactic
+    script = parse_script(
+        "import Mathlib\nimport Aesop\n\n"
+        "theorem t : (2:ℕ) + 2 = 4 := by\n"
+        "  norm_num\n"
+        "  bogus_tactic")
+    status, result = verify_final(script, plain_session)
+    assert status == FAILED
+    assert [d.pos.line for d in result.errors] == [6]
+    assert serialize(script).split("\n")[5].strip() == "bogus_tactic"
+
+
 def test_assemble_keeps_sorry_for_failed_subs(plain_session):
     from apollo.engine import _FrameResult
-    from apollo.proofscript import SourceSpan, compile_lines
+    from apollo.proofscript import SourceSpan
 
     parent_script = parse_script(
         "theorem t : 2 + 2 = 4 := by\n"
         "  have a : 1 + 1 = 2 := by sorry\n"
         "  have b : 3 + 3 = 6 := by sorry\n"
         "  norm_num\n")
-    result = plain_session.check(compile_lines(parent_script)[0])
+    result = check_script(parent_script, plain_session,
+                          RepairConfig().compile_timeout)
     parent = SorrifiedScript(parent_script, [], result)
     lines = serialize(parent_script).split("\n")
     spans = [

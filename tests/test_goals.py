@@ -9,7 +9,7 @@ from apollo.proofscript import (
     serialize,
 )
 from apollo.repl import PASS, Position, SorryInfo
-from apollo.sorrifier import pp_preamble, sorrify
+from apollo.sorrifier import sorrify
 
 
 def _info(goal, line=2, col=2):
@@ -109,13 +109,10 @@ def test_extraction_round_trip_on_sorried_fixtures(plain_session):
         "theorem f2 (a b : ℕ) (hab : a = b) : 3 * 3 = 9 := by\n"
         "  have k : 5 = 5 := by\n    broken_two\n  norm_num\n",
     ]
-    from apollo.proofscript import compile_lines
-
     for source in sources:
         sorrified = sorrify(parse_script(source), plain_session)
-        _, mapping = compile_lines(sorrified.script, pp_preamble())
         for ordinal, info in enumerate(sorrified.compile_result.sorries, 1):
-            line = mapping[info.pos.line - 1]
+            line = info.pos.line  # sorrify reports script lines
             span = SourceSpan(line, info.pos.column, line, info.end_pos.column)
             ctx = extract_goal(info, sorrified.script, span, ordinal)
             transform_goal(ctx, plain_session)  # validation is the oracle

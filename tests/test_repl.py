@@ -1,7 +1,9 @@
+import gc
 import json
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -154,6 +156,22 @@ def test_crash_is_retried_then_surfaced_and_recovered():
         assert again.status == PASS
     finally:
         session.close()
+
+
+def test_killed_repl_leaves_no_unclosed_pipes():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        session = start_session(fake_repl_cmd())
+        timed_out = session.check("--#fake_sleep=10\ntheorem t : 1 = 1 := by rfl",
+                                  timeout=0.2)
+        assert timed_out.status == TIMEOUT
+        assert session.check("theorem t : 1 = 1 := by rfl").status == PASS
+        session.close()
+        del session
+        gc.collect()
+    unclosed = [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)]
+    assert unclosed == []
 
 
 def test_one_in_flight_request_per_session(plain_session):

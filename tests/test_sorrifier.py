@@ -2,11 +2,12 @@ import pytest
 
 from apollo.errors import StatementMalformed
 from apollo.proofscript import count_sorries, parse_script, serialize
-from apollo.repl import PASS, PASS_WITH_SORRIES, Diagnostic, Position
+from apollo.repl import FAIL, PASS, PASS_WITH_SORRIES, Diagnostic, Position, classify
 from apollo.sorrifier import (
     INSERT_SORRY,
     REMOVE_LINE,
     REPLACE_BLOCK_WITH_SORRY,
+    check_script,
     choose_repair,
     pp_preamble,
     replay_actions,
@@ -257,6 +258,60 @@ def test_pp_preamble_has_nine_distinct_options():
     assert len(set(lines)) == 9
     assert all(ln.startswith("set_option pp.") and ln.endswith(" true")
                for ln in lines)
+
+
+class _CannedReplySession:
+    """Answers every request with one fixed REPL reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def check(self, code, timeout=None):
+        return classify(self.reply)
+
+
+def _message(severity, line, column, end=None, data="boom"):
+    return {"severity": severity, "pos": {"line": line, "column": column},
+            "endPos": {"line": end[0], "column": end[1]} if end else None,
+            "data": data}
+
+
+def test_check_script_reports_script_lines():
+    # script lines 1-2 are imports, never sent; under the 9-line pp
+    # preamble, script lines 3..6 are compile lines 10..13
+    script = parse_script(
+        "import Mathlib\nimport Aesop\n\n"
+        "theorem t : 2 + 2 = 4 := by\n"
+        "  have h : 1 + 1 = 2 := by sorry\n"
+        "  bogus_tactic\n")
+    col = serialize(script).split("\n")[4].index("sorry")
+    reply = {
+        "env": 1,
+        "messages": [
+            _message("error", 2, 0, end=(3, 4), data="in the preamble"),
+            _message("error", 13, 2, end=(13, 14)),
+            _message("info", 20, 0, end=(21, 0), data="past the end"),
+        ],
+        "sorries": [{"pos": {"line": 12, "column": col},
+                     "endPos": {"line": 12, "column": col + 5},
+                     "goal": "⊢ 1 + 1 = 2", "proofState": 0}],
+    }
+    result = check_script(script, _CannedReplySession(reply), 5.0, pp=True)
+
+    preamble, tactic, past_end = result.diagnostics
+    assert (preamble.pos, preamble.end_pos) == (Position(0, 0), None)
+    assert (past_end.pos, past_end.end_pos) == (Position(0, 0), None)
+    assert (tactic.pos, tactic.end_pos) == (Position(6, 2), Position(6, 14))
+    assert [m.message for m in result.diagnostics] == [
+        "in the preamble", "boom", "past the end"]
+    (sorry,) = result.sorries
+    assert (sorry.pos, sorry.end_pos) == (Position(5, col), Position(5, col + 5))
+    assert result.status == FAIL and result.raw is reply
+
+    # without the preamble, compile line 1 is script line 3
+    bare = check_script(script, _CannedReplySession(reply), 5.0)
+    assert bare.sorries[0].pos.line == 0  # compile line 12 is past the end
+    assert bare.diagnostics[0].pos.line == 4
 
 
 def test_goal_text_annotated_only_under_preamble(plain_session):
