@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .config import RepairConfig
-from .proofscript import ProofScript, SourceSpan, replace_span_text
+from .proofscript import ProofScript, SourceSpan, replace_span_text, serialize
 from .repl import CompileResult
 from .sorrifier import SorrifiedScript, check_script
 
@@ -104,7 +104,7 @@ def parse_hint_suggestions(result: CompileResult) -> list[str]:
 def _trial(script: ProofScript, span: SourceSpan, text: str, session,
            config: RepairConfig) -> tuple[ProofScript, CompileResult]:
     candidate_script = replace_span_text(script, span, text)
-    return candidate_script, check_script(candidate_script, session,
+    return candidate_script, check_script(serialize(candidate_script), session,
                                           config.candidate_timeout, pp=True)
 
 

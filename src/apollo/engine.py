@@ -147,7 +147,7 @@ def verify_final(script: ProofScript, session,
     """Full compile without the pp preamble plus a token scan; a proof is
     Proved only when the compiler passes and no sorry/admit token remains."""
     config = config or RepairConfig()
-    result = check_script(script, session, config.compile_timeout)
+    result = check_script(serialize(script), session, config.compile_timeout)
     if result.status == PASS and count_sorries(script) == 0:
         return PROVED, result
     if result.status in (PASS, PASS_WITH_SORRIES):
@@ -187,13 +187,6 @@ class _CandidateState:
         return self.sorrified is not None
 
 
-def _strip_imports(text: str) -> str:
-    masked = mask_regions(text).split("\n")
-    lines = text.split("\n")
-    return "\n".join(ln for ln, m in zip(lines, masked)
-                     if not m.lstrip().startswith("import "))
-
-
 def _generate(run: _Run, statement: TheoremStatement, mode: str, depth: int,
               prior=None):
     config = run.config
@@ -224,14 +217,13 @@ def _compile_as_generated(session, statement: TheoremStatement, text: str,
                           config: RepairConfig
                           ) -> tuple[CompileResult, SorrifiedScript | None]:
     """Compile `text` as written.  It is accepted when the compile passes,
-    the text parses, the statement is unchanged and no sorry is left."""
-    result = session.check(_strip_imports(text), config.compile_timeout)
+    the text parses, the statement is unchanged and no sorry is left.
+    Raises ParseError for an unterminated block comment, or for a text that
+    passes but does not parse."""
+    result = check_script(text, session, config.compile_timeout)
     if result.status != PASS:
         return result, None
-    try:
-        script = parse_script(text, statement)
-    except ParseError:
-        return result, None
+    script = parse_script(text, statement)
     if not statement_matches(script, statement) or count_sorries(script):
         return result, None
     return result, SorrifiedScript(script, [], result)
@@ -243,28 +235,28 @@ def _process_candidate(run: _Run, session, statement: TheoremStatement,
     touched = False
     plain_mode = not (config.enable_auto_solver or config.enable_llm_reinvoker)
 
-    initial, accepted = _compile_as_generated(session, statement, text, config)
-    if accepted is not None:
-        run.audit.append(depth, "orchestrator", "candidate_pass",
-                         f"candidate {index} verified as generated")
-        return _CandidateState(index, accepted, 0, touched)
-
-    if initial.status == FAIL and config.enable_syntax_refiner:
-        refined, applied = refine(text, run.rules)
-        if applied:
-            run.ledger.trigger(MODULE_SYNTAX_REFINER)
-            run.audit.append(depth, "syntax_refiner", "applied", ",".join(applied))
-            text = refined
-            touched = True
-            if plain_mode:
-                _, accepted = _compile_as_generated(session, statement, text, config)
-                if accepted is not None:
-                    return _CandidateState(index, accepted, 0, touched)
-
-    if plain_mode:
-        return _CandidateState(index, None, -1, touched, "no_pass_plain_mode")
-
     try:
+        initial, accepted = _compile_as_generated(session, statement, text, config)
+        if accepted is not None:
+            run.audit.append(depth, "orchestrator", "candidate_pass",
+                             f"candidate {index} verified as generated")
+            return _CandidateState(index, accepted, 0, touched)
+
+        if initial.status == FAIL and config.enable_syntax_refiner:
+            refined, applied = refine(text, run.rules)
+            if applied:
+                run.ledger.trigger(MODULE_SYNTAX_REFINER)
+                run.audit.append(depth, "syntax_refiner", "applied", ",".join(applied))
+                text = refined
+                touched = True
+                if plain_mode:
+                    _, accepted = _compile_as_generated(session, statement, text,
+                                                        config)
+                    if accepted is not None:
+                        return _CandidateState(index, accepted, 0, touched)
+
+        if plain_mode:
+            return _CandidateState(index, None, -1, touched, "no_pass_plain_mode")
         script = parse_script(text, statement)
     except ParseError as exc:
         return _CandidateState(index, None, -1, touched, f"parse_error: {exc}")

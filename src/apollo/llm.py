@@ -103,7 +103,8 @@ class HttpBackend:
 
     Sends n=k where the endpoint supports it, otherwise issues k sequential
     single-sample calls.  Transport failures retry up to three times with
-    exponential backoff; a 429 honors Retry-After before counting as a try.
+    exponential backoff; a 429 honors a Retry-After in seconds before
+    counting as a try, and backs off exponentially when it is an HTTP-date.
     """
 
     def __init__(self, base_url: str, model: str,
@@ -135,7 +136,10 @@ class HttpBackend:
                 time.sleep(_BACKOFF_BASE * (2 ** attempt))
                 continue
             if response.status_code == 429:
-                retry_after = float(response.headers.get("Retry-After", 1.0))
+                try:
+                    retry_after = float(response.headers.get("Retry-After", 1.0))
+                except ValueError:  # an HTTP-date
+                    retry_after = _BACKOFF_BASE * (2 ** attempt)
                 if attempt == _MAX_RETRIES:
                     raise BackendError("rate_limited", "rate limited",
                                        retry_after=retry_after)

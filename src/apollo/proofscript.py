@@ -22,7 +22,6 @@ KIND_TACTIC = "tactic-line"
 _DECL_RE = re.compile(r"^[ \t]*(theorem|lemma|example)\b", re.MULTILINE)
 _NAME_RE = re.compile(r"(theorem|lemma)\s+([^\s:({\[⦃]+)")
 _SORRY_RE = re.compile(r"\b(sorry|admit)\b")
-_IMPORT_RE = re.compile(r"^\s*import\s")
 
 _OPEN_BRACKETS = "([{⟨⦃"
 _CLOSE_BRACKETS = ")]}⟩⦄"
@@ -130,13 +129,8 @@ class ProofBlock:
 class ProofScript:
     statement: TheoremStatement
     root: ProofBlock
-    raw_text: str
     inline_tail: str | None = None  # verbatim remainder of the `by` line
     lead_blanks: int = 0  # blank lines between `by` and the first tactic
-
-    @property
-    def text(self) -> str:
-        return serialize(self)
 
     @property
     def body_start_line(self) -> int:
@@ -347,7 +341,7 @@ def parse_script(source: str, statement: TheoremStatement | None = None) -> Proo
         children,
         KIND_ANON,
     )
-    return ProofScript(stmt, root, source, inline_tail, lead_blanks)
+    return ProofScript(stmt, root, inline_tail, lead_blanks)
 
 
 def _emit(node: ProofBlock, out: list[str]) -> None:
@@ -531,28 +525,3 @@ def statement_matches(script: ProofScript, statement: TheoremStatement) -> bool:
         return " ".join(s.split())
 
     return collapse(script.statement.statement_text) == collapse(statement.statement_text)
-
-
-def compile_lines(script: ProofScript, preamble: str | None = None) -> tuple[str, list[int | None]]:
-    """Code to submit to the compiler plus a compile-line -> script-line map.
-
-    Import lines are dropped (the session's cached environment already holds
-    them); an optional preamble is prepended.  Entries in the returned map
-    are 1-based script line numbers, or None for preamble lines.  Only
-    `sorrifier.check_script` reads the map.
-    """
-    script_lines = _script_lines(script)
-    masked = mask_regions("\n".join(script_lines)).split("\n")
-    header_line_count = script.statement.header.count("\n")
-    out: list[str] = []
-    mapping: list[int | None] = []
-    if preamble:
-        for ln in preamble.rstrip("\n").split("\n"):
-            out.append(ln)
-            mapping.append(None)
-    for i, line in enumerate(script_lines):
-        if i < header_line_count and _IMPORT_RE.match(masked[i]):
-            continue
-        out.append(line)
-        mapping.append(i + 1)
-    return "\n".join(out).rstrip("\n") + "\n", mapping

@@ -20,10 +20,8 @@ from .proofscript import (
     ProofScript,
     SourceSpan,
     TheoremStatement,
-    compile_lines,
     insert_sorry_after,
     mask_regions,
-    parse_script,
     remove_block,
     remove_line,
     replace_block_with_sorry,
@@ -70,8 +68,7 @@ class RepairAction:
 
 @dataclass
 class SorrifiedScript:
-    """`compile_result` holds positions in script lines (`check_script`),
-    except for a candidate accepted as generated: the Pass of its raw text."""
+    """`compile_result` holds positions in script lines (`check_script`)."""
 
     script: ProofScript
     actions: list[RepairAction]
@@ -238,18 +235,37 @@ def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) 
     return _block_action(script, block_path, diag, attempt_history)
 
 
-def check_script(script: ProofScript, session, timeout: float,
-                 pp: bool = False) -> CompileResult:
-    """Compile `script`, with the pp preamble when `pp`, and return the
-    result with every diagnostic and sorry position in script lines.
+_IMPORT_RE = re.compile(r"^\s*import\s")
 
-    A position on no script line (a preamble line, or one past the end of
-    the code) gets line 0, and a diagnostic's end position there becomes
+
+def check_script(text: str, session, timeout: float,
+                 pp: bool = False) -> CompileResult:
+    """Compile the script `text`, with the pp preamble when `pp`, and
+    return the result with every diagnostic and sorry position in lines of
+    `text`.
+
+    The session's environment already holds the imports, so the leading
+    `import` lines are dropped.  As in Lean, imports come only at the top:
+    blank and comment lines may precede them, and an `import` after any
+    other line is sent as is.  Raises UnterminatedComment when a block
+    comment never closes.
+
+    A position on no line of `text` (a preamble line, or one past the end
+    of the code) gets line 0, and a diagnostic's end position there becomes
     None.  Such diagnostics are kept: the `hint` suggestions arrive in an
     info message that need not sit on a script line.
     """
-    code, mapping = compile_lines(script, pp_preamble() if pp else None)
-    result = session.check(code, timeout)
+    code = pp_preamble().split("\n") if pp else []
+    mapping: list[int | None] = [None] * len(code)  # compile line -> text line
+    leading = True
+    masked = mask_regions(text).split("\n")
+    for no, (line, mline) in enumerate(zip(text.split("\n"), masked), start=1):
+        if leading and _IMPORT_RE.match(mline):
+            continue
+        leading = leading and not mline.strip()
+        code.append(line)
+        mapping.append(no)
+    result = session.check("\n".join(code), timeout)
 
     def at(pos: Position | None) -> Position | None:
         if pos is None or not 0 < pos.line <= len(mapping) or not mapping[pos.line - 1]:
@@ -272,8 +288,7 @@ def validate_statement(statement: TheoremStatement, session,
     itself is unusable and the caller must request a fresh generation."""
     config = config or RepairConfig()
     probe = statement.header + statement.statement_text + "\n  sorry"
-    result = check_script(parse_script(probe, statement), session,
-                          config.compile_timeout)
+    result = check_script(probe, session, config.compile_timeout)
     if result.status == FAIL:
         raise StatementMalformed(result.errors)
     if not result.ok:
@@ -294,7 +309,8 @@ def sorrify(script: ProofScript, session, config: RepairConfig | None = None) ->
     cap = 2 * script.root.line_count() + 8
 
     for _ in range(cap):
-        result = check_script(script, session, config.compile_timeout, pp=True)
+        result = check_script(serialize(script), session, config.compile_timeout,
+                              pp=True)
         if result.ok:
             return SorrifiedScript(script, actions, result)
         if result.status != FAIL:

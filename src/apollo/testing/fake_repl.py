@@ -12,6 +12,9 @@ The "kernel" is a tiny tactic interpreter:
   in scope followed by a `⊢ target` line (numerals get explicit type
   ascriptions when the pp set_options are present in the submitted code);
 * `rfl`, `trivial`, `assumption`, `exact <hyp>` behave structurally;
+  `exact <name>` also sees a theorem proved earlier in the same command,
+  never one from another command, since each is sent against the header
+  environment alone;
 * `norm_num`, `omega` and `decide` evaluate closed rational arithmetic;
 * `hint` emits a "Try these:" info message from a suggestion table;
 * everything else is resolved against a rule table loaded with --rules:
@@ -394,7 +397,6 @@ class FakeRepl:
         self.checker = Checker(table)
         self.env_counter = 0
         self.proof_state_counter = 0
-        self.decls: dict[str, str] = {}  # proved this process: name -> goal
 
     # -- rendering --
 
@@ -533,7 +535,6 @@ class FakeRepl:
         ok = self.eval_block(goal, lines, ctx, state, by_line, by_col)
         if ok and len(state.errors) == before and name != "_example":
             state.checker_decls[name] = goal
-            self.decls[name] = goal
 
     # -- command handling --
 
@@ -546,7 +547,7 @@ class FakeRepl:
 
         raw_lines = cmd.split("\n")
         pp_types = "set_option pp." in cmd
-        state = TheoremState(pp_types, None, dict(self.decls))
+        state = TheoremState(pp_types, None, {})
         messages = []
 
         i = 0

@@ -342,7 +342,7 @@ def test_assemble_keeps_sorry_for_failed_subs(plain_session):
         "  have a : 1 + 1 = 2 := by sorry\n"
         "  have b : 3 + 3 = 6 := by sorry\n"
         "  norm_num\n")
-    result = check_script(parent_script, plain_session,
+    result = check_script(serialize(parent_script), plain_session,
                           RepairConfig().compile_timeout)
     parent = SorrifiedScript(parent_script, [], result)
     lines = serialize(parent_script).split("\n")
@@ -427,3 +427,23 @@ def test_verify_final_never_proves_on_error_reply():
         parse_script("theorem t : 1 = 1 := by rfl"), _ErrorReplySession())
     assert status == FAILED
     assert result.errors[0].message == "Unknown environment."
+
+
+def test_unterminated_comment_candidate_is_skipped(mock_suite, tmp_path):
+    # candidate 0 cannot be masked; it must not abort the theorem
+    write_llm_fixtures(tmp_path / "llm", {
+        "thm_r0": SUITE_CANDIDATES["thm_r0"] + "/- unclosed\n"})
+    (tmp_path / "llm/thm_r0/001.lean").write_text(SUITE_CANDIDATES["thm_r0"])
+    (tmp_path / "llm/thm_r0/meta.json").write_text(
+        json.dumps({"tokens": [10, 10]}))
+
+    pool = SessionPool.build(
+        lambda: start_session(fake_repl_cmd(mock_suite["rules"])), 1)
+    try:
+        backend = MockBackend(tmp_path / "llm")
+        config = RepairConfig(max_depth_r=0, k_per_goal=2)
+        outcome = apollo(suite_statement("thm_r0"), 0, config, backend, pool)
+        assert outcome.status == PROVED
+        assert "via candidate 1" in outcome.audit.events[-1].detail
+    finally:
+        pool.close()

@@ -120,7 +120,7 @@ def test_mock_backend_extracts_fenced_code(tmp_path):
 
 class _Endpoint(BaseHTTPRequestHandler):
     calls = []
-    behavior = []  # queue of ("ok"|"500"|"429"|"text", payload) entries
+    behavior = []  # queue of ("ok"|"500"|"429"|"429-date"|"text", payload) entries
 
     def do_POST(self):  # noqa: N802
         length = int(self.headers["Content-Length"])
@@ -133,9 +133,10 @@ class _Endpoint(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        if kind == "429":
+        if kind in ("429", "429-date"):
             self.send_response(429)
-            self.send_header("Retry-After", "0.05")
+            self.send_header("Retry-After", "0.05" if kind == "429" else
+                             "Wed, 21 Oct 2015 07:28:00 GMT")
             self.end_headers()
             return
         if kind == "text":
@@ -172,6 +173,7 @@ def endpoint():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_backend_sends_n_and_counts_usage(endpoint, monkeypatch):
@@ -211,6 +213,17 @@ def test_http_backend_honors_retry_after(endpoint):
     backend = HttpBackend(endpoint, "m")
     result = backend.generate(GenerationRequest(STMT, k=1))
     assert len(result.candidates) == 1
+
+
+def test_http_backend_backs_off_on_retry_after_date(endpoint, monkeypatch):
+    # RFC 9110 allows Retry-After as an HTTP-date; it gets the backoff
+    sleeps = []
+    monkeypatch.setattr("apollo.llm.time.sleep", sleeps.append)
+    _Endpoint.behavior = [("429-date", None)]
+    backend = HttpBackend(endpoint, "m")
+    result = backend.generate(GenerationRequest(STMT, k=1))
+    assert len(result.candidates) == 1
+    assert sleeps == [0.5]
 
 
 def test_http_backend_estimates_tokens_without_usage(endpoint):

@@ -48,6 +48,14 @@ def test_unknown_tactic_fails_with_position(plain_session):
     assert err.pos.line == 2
 
 
+def test_proved_theorem_visible_only_in_its_own_command(plain_session):
+    helper = "theorem helper : 2 + 2 = 4 := by norm_num\n"
+    user = "theorem t : 2 + 2 = 4 := by exact helper\n"
+    assert plain_session.check(helper).status == PASS
+    assert plain_session.check(user).status == FAIL
+    assert plain_session.check(helper + user).status == PASS
+
+
 def test_unknown_import_header():
     with pytest.raises(HeaderFailed) as excinfo:
         start_session(fake_repl_cmd(), import_header="import NoSuchModule")

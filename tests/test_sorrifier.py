@@ -1,6 +1,6 @@
 import pytest
 
-from apollo.errors import StatementMalformed
+from apollo.errors import StatementMalformed, UnterminatedComment
 from apollo.proofscript import count_sorries, parse_script, serialize
 from apollo.repl import FAIL, PASS, PASS_WITH_SORRIES, Diagnostic, Position, classify
 from apollo.sorrifier import (
@@ -265,8 +265,10 @@ class _CannedReplySession:
 
     def __init__(self, reply):
         self.reply = reply
+        self.sent = []
 
     def check(self, code, timeout=None):
+        self.sent.append(code)
         return classify(self.reply)
 
 
@@ -279,12 +281,11 @@ def _message(severity, line, column, end=None, data="boom"):
 def test_check_script_reports_script_lines():
     # script lines 1-2 are imports, never sent; under the 9-line pp
     # preamble, script lines 3..6 are compile lines 10..13
-    script = parse_script(
-        "import Mathlib\nimport Aesop\n\n"
-        "theorem t : 2 + 2 = 4 := by\n"
-        "  have h : 1 + 1 = 2 := by sorry\n"
-        "  bogus_tactic\n")
-    col = serialize(script).split("\n")[4].index("sorry")
+    text = ("import Mathlib\nimport Aesop\n\n"
+            "theorem t : 2 + 2 = 4 := by\n"
+            "  have h : 1 + 1 = 2 := by sorry\n"
+            "  bogus_tactic\n")
+    col = text.split("\n")[4].index("sorry")
     reply = {
         "env": 1,
         "messages": [
@@ -296,7 +297,7 @@ def test_check_script_reports_script_lines():
                      "endPos": {"line": 12, "column": col + 5},
                      "goal": "⊢ 1 + 1 = 2", "proofState": 0}],
     }
-    result = check_script(script, _CannedReplySession(reply), 5.0, pp=True)
+    result = check_script(text, _CannedReplySession(reply), 5.0, pp=True)
 
     preamble, tactic, past_end = result.diagnostics
     assert (preamble.pos, preamble.end_pos) == (Position(0, 0), None)
@@ -309,9 +310,34 @@ def test_check_script_reports_script_lines():
     assert result.status == FAIL and result.raw is reply
 
     # without the preamble, compile line 1 is script line 3
-    bare = check_script(script, _CannedReplySession(reply), 5.0)
+    bare = check_script(text, _CannedReplySession(reply), 5.0)
     assert bare.sorries[0].pos.line == 0  # compile line 12 is past the end
     assert bare.diagnostics[0].pos.line == 4
+
+
+def test_check_script_drops_only_leading_imports():
+    # as in Lean, imports come first, after blank and comment lines only;
+    # a later `import` is sent as written
+    text = ("/- a file comment -/\n-- a line comment\n\n"
+            "import Mathlib\nimport Aesop -- tactics\n\n"
+            "open Real\nimport Extra\n"
+            "theorem t : 1 = 1 := by\n  rfl\n")
+    reply = {"env": 1, "messages": [_message("error", 6, 0)], "sorries": []}
+    session = _CannedReplySession(reply)
+    result = check_script(text, session, 5.0)
+    assert session.sent == [
+        "/- a file comment -/\n-- a line comment\n\n"
+        "\nopen Real\nimport Extra\n"
+        "theorem t : 1 = 1 := by\n  rfl\n"]
+    assert result.diagnostics[0].pos.line == 8  # `import Extra`
+
+
+def test_check_script_raises_on_unterminated_comment_before_compiling():
+    session = _CannedReplySession({"env": 1, "messages": [], "sorries": []})
+    with pytest.raises(UnterminatedComment):
+        check_script("theorem t : 1 = 1 := by\n  rfl\n/- unclosed\n",
+                     session, 5.0)
+    assert session.sent == []
 
 
 def test_goal_text_annotated_only_under_preamble(plain_session):
