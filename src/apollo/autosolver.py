@@ -1,8 +1,9 @@
 """Close sorry placeholders with Lean's own automation.
 
-Each sorry site is attacked in position order: suggestions harvested from
-the `hint` tactic first, then a fixed suite of finishing tactics, then
-two-step combinations.  A candidate is committed only when the trial
+Each sorry site is attacked in position order: one `hint` probe, then a
+trial of each suggestion it returns in order, then a fixed suite of
+finishing tactics, then two-step combinations.  Each trial is one compile,
+and the first candidate that closes the site is committed: its trial
 compile shows strictly fewer sorries and no new errors, so a failing or
 timed-out candidate can never damage the script.
 """
@@ -46,7 +47,6 @@ _TRY_THESE_RE = re.compile(r"Try (?:these:|this:)\s*(.*)", re.DOTALL)
 class TacticCandidate:
     text: str
     source: str
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,9 @@ def suite_candidates(config: RepairConfig | None = None) -> list[TacticCandidate
     linarith, nlinarith and ring_nf (at most 12)."""
     config = config or RepairConfig()
     singles = load_suite(config.suite_path) if config.suite_path else list(DEFAULT_SUITE)
-    candidates = [
-        TacticCandidate(text, SOURCE_SUITE, rank)
-        for rank, text in enumerate(singles)
-    ]
-    combos = [f"{first} <;> {second}"
-              for first in singles[:4] for second in _COMBO_SECONDS]
-    candidates.extend(
-        TacticCandidate(text, SOURCE_COMBINATION, len(singles) + i)
-        for i, text in enumerate(combos)
-    )
+    candidates = [TacticCandidate(text, SOURCE_SUITE) for text in singles]
+    candidates.extend(TacticCandidate(f"{first} <;> {second}", SOURCE_COMBINATION)
+                      for first in singles[:4] for second in _COMBO_SECONDS)
     return candidates
 
 
@@ -113,27 +106,23 @@ def _closes(result: CompileResult, baseline_sorries: int) -> bool:
 
 
 def hint_candidates(script: ProofScript, span: SourceSpan, session,
-                    baseline_sorries: int,
                     config: RepairConfig | None = None) -> list[TacticCandidate]:
-    """Ask `hint` at the site and keep only suggestions that fully discharge
-    the goal, that is leave fewer than `baseline_sorries` sorries in the
-    script; suggestions that merely make progress are filtered out by a
-    trial compile each."""
+    """Run `hint` at the site, one compile, and return its suggestions in
+    order.  They are not validated here: `solve_sorries` trials each like
+    any other candidate, so a suggestion that only makes progress is
+    never committed."""
     config = config or RepairConfig()
     _, probe = _trial(script, span, "hint", session, config)
-    suggestions = parse_hint_suggestions(probe)
-    validated: list[TacticCandidate] = []
-    for rank, text in enumerate(suggestions):
-        _, result = _trial(script, span, text, session, config)
-        if _closes(result, baseline_sorries):
-            validated.append(TacticCandidate(text, SOURCE_HINT, rank))
-    return validated
+    return [TacticCandidate(text, SOURCE_HINT)
+            for text in parse_hint_suggestions(probe)]
 
 
 def solve_sorries(s: SorrifiedScript, session,
                   config: RepairConfig | None = None) -> SorrifiedScript:
-    """Try to discharge every sorry; sites that resist all candidates stay
-    sorried.  The result still compiles Pass or PassWithSorries."""
+    """Try to discharge every sorry: at each site, trial the `hint`
+    suggestions and then the suite, one compile each, and commit the first
+    that closes it.  Sites that resist all candidates stay sorried.  The
+    result still compiles Pass or PassWithSorries."""
     config = config or RepairConfig()
     if not s.compile_result.sorries:
         return SorrifiedScript(s.script, s.actions, s.compile_result, list(s.commits))
@@ -154,18 +143,15 @@ def solve_sorries(s: SorrifiedScript, session,
         span = SourceSpan(site.pos.line, site.pos.column,
                           site.pos.line, site.end_pos.column)
 
-        committed = False
-        candidates = hint_candidates(script, span, session, len(sorries), config)
-        candidates.extend(suite_candidates(config))
-        for cand in candidates:
+        candidates = hint_candidates(script, span, session, config)
+        for cand in candidates + suite_candidates(config):
             trial_script, trial_result = _trial(script, span, cand.text, session, config)
             if _closes(trial_result, len(sorries)):
                 log.debug("autosolver: %r closed site at line %d", cand.text, span.start_line)
                 script, result = trial_script, trial_result
                 commits.append(CommittedTactic(span, cand))
-                committed = True
                 break
-        if not committed:
+        else:
             skipped += 1
 
     return SorrifiedScript(script, s.actions, result, commits)

@@ -105,6 +105,8 @@ class RunReport:
         proved = [r for r in self.records if r["status"] == PROVED]
         samples = [r["samples"] for r in pop]
         tokens = [r["tokens"] for r in pop]
+        # records written before compiles were counted have no such key
+        compiles = [r["compiles"] for r in pop if r.get("compiles") is not None]
         lengths = [r["proof_length"] for r in proved if r.get("proof_length")]
         trigger_rates = {}
         for module in ("syntax_refiner", "auto_solver", "llm_reinvoker"):
@@ -118,6 +120,8 @@ class RunReport:
             "max_samples": max(samples) if samples else 0,
             "avg_tokens": statistics.mean(tokens) if tokens else 0.0,
             "max_tokens": max(tokens) if tokens else 0,
+            "avg_compiles": statistics.mean(compiles) if compiles else 0.0,
+            "max_compiles": max(compiles) if compiles else 0,
             "proof_lengths": sorted(lengths),
             "avg_proof_length": statistics.mean(lengths) if lengths else 0.0,
             "median_proof_length": statistics.median(lengths) if lengths else 0.0,
@@ -127,14 +131,16 @@ class RunReport:
     def render(self, method: str = "apollo") -> str:
         agg = self.aggregates()
         lines = [
-            f"{'method':<28}{'sample budget':>16}{'token budget':>16}{'accuracy':>10}",
+            f"{'method':<28}{'sample budget':>16}{'token budget':>16}"
+            f"{'compile budget':>16}{'accuracy':>10}",
             f"{method:<28}{agg['avg_samples']:>16.1f}{agg['avg_tokens']:>16.1f}"
-            f"{agg['accuracy']:>9.1%}",
+            f"{agg['avg_compiles']:>16.1f}{agg['accuracy']:>9.1%}",
             "",
             f"population: {agg['population']}/{agg['items']} items "
             f"(accounting mode: {self.mode})",
             f"max sample budget: {agg['max_samples']}   "
-            f"max token budget: {agg['max_tokens']}",
+            f"max token budget: {agg['max_tokens']}   "
+            f"max compile budget: {agg['max_compiles']}",
         ]
         if agg["proof_lengths"]:
             lines.append(
@@ -181,6 +187,7 @@ def _outcome_record(name: str, outcome, wall_time: float,
         "status": outcome.status,
         "samples": outcome.ledger.samples_used,
         "tokens": outcome.ledger.tokens_generated,
+        "compiles": outcome.ledger.repl_calls,
         "proof_length": outcome.proof_length,
         "wall_time": round(wall_time, 3),
         "audit_path": audit_path,

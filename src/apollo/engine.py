@@ -22,6 +22,7 @@ from .errors import (
     BackendError,
     ExtractError,
     ParseError,
+    RefineError,
     SorrifyError,
     SpliceError,
     StatementMalformed,
@@ -180,7 +181,7 @@ class _CandidateState:
     sorrified: SorrifiedScript | None
     sorries: int
     touched: bool
-    reason: str | None = None
+    verified: CompileResult | None = None  # the PASS that accepted it as generated
 
     @property
     def usable(self) -> bool:
@@ -217,9 +218,11 @@ def _compile_as_generated(session, statement: TheoremStatement, text: str,
                           config: RepairConfig
                           ) -> tuple[CompileResult, SorrifiedScript | None]:
     """Compile `text` as written.  It is accepted when the compile passes,
-    the text parses, the statement is unchanged and no sorry is left.
-    Raises ParseError for an unterminated block comment, or for a text that
-    passes but does not parse."""
+    the text parses, the statement is unchanged and no sorry is left: the
+    test `verify_final` makes, on the same code, since serializing the
+    parsed text gives `normalize(text)`.  Raises ParseError for an
+    unterminated block comment, or for a text that passes but does not
+    parse."""
     result = check_script(text, session, config.compile_timeout)
     if result.status != PASS:
         return result, None
@@ -236,39 +239,38 @@ def _process_candidate(run: _Run, session, statement: TheoremStatement,
     plain_mode = not (config.enable_auto_solver or config.enable_llm_reinvoker)
 
     try:
-        initial, accepted = _compile_as_generated(session, statement, text, config)
+        result, accepted = _compile_as_generated(session, statement, text, config)
         if accepted is not None:
             run.audit.append(depth, "orchestrator", "candidate_pass",
                              f"candidate {index} verified as generated")
-            return _CandidateState(index, accepted, 0, touched)
+            return _CandidateState(index, accepted, 0, touched, result)
 
-        if initial.status == FAIL and config.enable_syntax_refiner:
-            refined, applied = refine(text, run.rules)
+        if result.status == FAIL and config.enable_syntax_refiner:
+            try:
+                refined, applied = refine(text, run.rules)
+            except RefineError as exc:
+                run.audit.append(depth, "syntax_refiner", "rule_error",
+                                 f"candidate {index}: {exc}")
+                applied = []
             if applied:
                 run.ledger.trigger(MODULE_SYNTAX_REFINER)
                 run.audit.append(depth, "syntax_refiner", "applied", ",".join(applied))
                 text = refined
                 touched = True
                 if plain_mode:
-                    _, accepted = _compile_as_generated(session, statement, text,
-                                                        config)
+                    result, accepted = _compile_as_generated(session, statement,
+                                                             text, config)
                     if accepted is not None:
-                        return _CandidateState(index, accepted, 0, touched)
+                        return _CandidateState(index, accepted, 0, touched, result)
 
         if plain_mode:
-            return _CandidateState(index, None, -1, touched, "no_pass_plain_mode")
+            return _CandidateState(index, None, -1, touched)
         script = parse_script(text, statement)
-    except ParseError as exc:
-        return _CandidateState(index, None, -1, touched, f"parse_error: {exc}")
-    if not statement_matches(script, statement):
-        return _CandidateState(index, None, -1, touched, "statement_mismatch")
-
-    try:
+        if not statement_matches(script, statement):
+            return _CandidateState(index, None, -1, touched)
         sorrified = sorrify(script, session, config)
-    except StatementMalformed:
-        return _CandidateState(index, None, -1, touched, "statement_malformed")
-    except SorrifyError as exc:
-        return _CandidateState(index, None, -1, touched, f"sorrify: {exc}")
+    except (ParseError, SorrifyError):
+        return _CandidateState(index, None, -1, touched)
     if sorrified.actions:
         touched = True
         run.audit.append(depth, "sorrifier", "repaired",
@@ -341,14 +343,17 @@ def _frame(run: _Run, session, statement: TheoremStatement, depth: int,
                          f"{statement.name}: returning sorry at depth {depth}")
         return _FrameResult(PARTIAL_WITH_SORRIES, None)
 
-    try:
-        validate_statement(statement, session, config)
-    except StatementMalformed as exc:
-        run.audit.append(depth, "orchestrator", "statement_malformed",
-                         str(exc))
-        return _FrameResult(FAILED, None, REASON_STATEMENT_MALFORMED)
-    except SorrifyError as exc:
-        return _FrameResult(FAILED, None, f"statement_probe: {exc}")
+    if mode == MODE_INITIAL:
+        # the one probe of the input statement; a sub-lemma was probed by
+        # `transform_goal`, and feedback re-entry repeats a probed statement
+        try:
+            validate_statement(statement, session, config)
+        except StatementMalformed as exc:
+            run.audit.append(depth, "orchestrator", "statement_malformed",
+                             str(exc))
+            return _FrameResult(FAILED, None, REASON_STATEMENT_MALFORMED)
+        except SorrifyError as exc:
+            return _FrameResult(FAILED, None, f"statement_probe: {exc}")
 
     try:
         candidates = _generate(run, statement, mode, depth, prior)
@@ -363,7 +368,8 @@ def _frame(run: _Run, session, statement: TheoremStatement, depth: int,
     for index, text in enumerate(candidates):
         state = _process_candidate(run, session, statement, text, index, depth)
         if state.usable and state.sorries == 0:
-            status, result = verify_final(state.sorrified.script, session, config)
+            status, result = ((PROVED, state.verified) if state.verified is not None
+                              else verify_final(state.sorrified.script, session, config))
             if status == PROVED:
                 if state.touched:
                     run.assisted = True

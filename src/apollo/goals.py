@@ -131,11 +131,11 @@ def extract_goal(sorry_info, script: ProofScript, site: SourceSpan,
                        (script.statement.name, site), fresh, script.statement.header)
 
 
-def transform_goal(ctx: GoalContext, session=None,
+def transform_goal(ctx: GoalContext, session,
                    config: RepairConfig | None = None) -> TheoremStatement:
     """Render the context as `theorem <fresh> <binders> : <target> := by`.
 
-    With a session the statement is compiled with a sorry body; rejection
+    The statement is compiled with a sorry body, its one probe; rejection
     means the sub-lemma cannot be expressed standalone and the site must
     stay sorried.
     """
@@ -143,11 +143,10 @@ def transform_goal(ctx: GoalContext, session=None,
     binders = f" {binders}" if binders else ""
     statement_text = f"theorem {ctx.fresh_name}{binders} : {ctx.target} := by"
     statement = TheoremStatement(ctx.fresh_name, ctx.header, statement_text)
-    if session is not None:
-        try:
-            validate_statement(statement, session, config)
-        except StatementMalformed as exc:
-            raise StatementRejected(exc.diagnostics) from exc
+    try:
+        validate_statement(statement, session, config)
+    except StatementMalformed as exc:
+        raise StatementRejected(exc.diagnostics) from exc
     return statement
 
 

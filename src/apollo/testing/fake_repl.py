@@ -552,6 +552,7 @@ class FakeRepl:
 
         i = 0
         n = len(raw_lines)
+        header = True  # only blank, comment and import lines so far
         while i < n:
             raw = raw_lines[i]
             stripped = raw.strip()
@@ -561,10 +562,14 @@ class FakeRepl:
                 continue
             if re.match(r"import\s", stripped):
                 mod = stripped.split(None, 1)[1].strip()
-                if mod.split(".")[0] not in KNOWN_IMPORTS:
+                if not header:
+                    messages.append(_err(line_no, 0, "invalid 'import' command, it "
+                                         "must be used in the beginning of the file"))
+                elif mod.split(".")[0] not in KNOWN_IMPORTS:
                     messages.append(_err(line_no, 0, f"unknown module prefix '{mod}'"))
                 i += 1
                 continue
+            header = False
             if re.match(r"(open|set_option|section|end|namespace|variable)\b", stripped):
                 i += 1
                 continue

@@ -99,21 +99,25 @@ def test_hint_suggestion_validated_and_filtered(session):
     src = "theorem t : 1 = 1 := by\n  have h : G2 := by\n    sorry\n  rfl\n"
     sorrified = _sorrified(src, session)
     span = _first_site(sorrified)
-    baseline = len(sorrified.compile_result.sorries)
-    validated = hint_candidates(sorrified.script, span, session, baseline)
-    assert [c.text for c in validated] == ["gcongr"]  # progress-only filtered
+    suggestions = hint_candidates(sorrified.script, span, session)
+    assert [(c.text, c.source) for c in suggestions] == [
+        ("simp only [foo]", "hint"), ("gcongr", "hint")]  # as returned, unvalidated
 
+    before = session.checks_issued
     out = solve_sorries(sorrified, session)
     assert out.commits[0].candidate.source == "hint"
-    assert out.commits[0].candidate.text == "gcongr"
+    assert out.commits[0].candidate.text == "gcongr"  # progress-only filtered
+    # the hint probe, then one trial per suggestion up to the one that closes
+    assert session.checks_issued - before == 3
 
 
 def test_hint_failure_yields_empty_list(session):
     src = "theorem t : 1 = 1 := by\n  have h : G3 := by\n    sorry\n  rfl\n"
     sorrified = _sorrified(src, session)
     span = _first_site(sorrified)
-    baseline = len(sorrified.compile_result.sorries)
-    assert hint_candidates(sorrified.script, span, session, baseline) == []
+    before = session.checks_issued
+    assert hint_candidates(sorrified.script, span, session) == []
+    assert session.checks_issued - before == 1
 
 
 def test_unclosable_sorry_remains(session):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from apollo import engine
 from apollo.config import RepairConfig
 from apollo.engine import (
     FAILED,
@@ -447,3 +448,72 @@ def test_unterminated_comment_candidate_is_skipped(mock_suite, tmp_path):
         assert "via candidate 1" in outcome.audit.events[-1].detail
     finally:
         pool.close()
+
+
+def test_runaway_refiner_rule_leaves_the_candidate_unrefined(mock_suite, tmp_path):
+    # candidate 0 fails and the one rule never reaches a fixpoint on it; the
+    # theorem must not fail with it, since candidate 1 proves it as generated
+    rules = tmp_path / "rules.jsonl"
+    rules.write_text(json.dumps({"id": "grow", "pattern": "foo",
+                                 "replacement": "foofoo"}) + "\n")
+    write_llm_fixtures(tmp_path / "llm", {"thm_r0": "theorem thm_r0 : P0 := by\n  foo\n"})
+    (tmp_path / "llm/thm_r0/001.lean").write_text(SUITE_CANDIDATES["thm_r0"])
+    (tmp_path / "llm/thm_r0/meta.json").write_text(
+        json.dumps({"tokens": [10, 10]}))
+
+    pool = SessionPool.build(
+        lambda: start_session(fake_repl_cmd(mock_suite["rules"])), 1)
+    try:
+        config = RepairConfig(max_depth_r=0, k_per_goal=2, rules_path=str(rules))
+        outcome = apollo(suite_statement("thm_r0"), 0, config,
+                         MockBackend(tmp_path / "llm"), pool)
+    finally:
+        pool.close()
+    assert outcome.status == PROVED
+    assert "via candidate 1" in outcome.audit.events[-1].detail
+    refiner = [e for e in outcome.audit.events if e.module == "syntax_refiner"]
+    assert [(e.action, e.detail.split(":")[0]) for e in refiner] == [
+        ("rule_error", "candidate 0")]
+    assert "'grow'" in refiner[0].detail
+    assert outcome.ledger.module_triggers["syntax_refiner"] == 0
+
+
+def test_candidate_accepted_as_generated_is_not_compiled_again(
+        suite_pool, mock_suite, monkeypatch):
+    def no_second_compile(*args, **kwargs):
+        raise AssertionError("verify_final compiled an accepted candidate")
+
+    monkeypatch.setattr(engine, "verify_final", no_second_compile)
+    outcome = apollo(suite_statement("thm_r0"), 0,
+                     RepairConfig(max_depth_r=0, k_per_goal=1),
+                     MockBackend(mock_suite["llm"]), suite_pool)
+    assert outcome.status == PROVED
+    assert [e.action for e in outcome.audit.events][-2:] == ["candidate_pass",
+                                                             "proved"]
+    assert outcome.ledger.repl_calls == 2  # the statement probe and the candidate
+
+
+class _ErrorReplyFor:
+    """A session that answers any code holding `marker` the way the REPL
+    answers a command it could not run (no env), and passes the rest on."""
+
+    def __init__(self, inner, marker):
+        self.inner = inner
+        self.marker = marker
+        self.checks_issued = 0
+
+    def check(self, code, timeout=None):
+        self.checks_issued += 1
+        if self.marker in code:
+            return classify({"message": "Unknown environment."})
+        return self.inner.check(code, timeout)
+
+
+def test_error_reply_to_a_candidate_as_generated_is_never_proved(
+        mock_suite, plain_session):
+    session = _ErrorReplyFor(plain_session, "exact p0_witness")
+    outcome = apollo(suite_statement("thm_r0"), 0,
+                     RepairConfig(max_depth_r=0, k_per_goal=1),
+                     MockBackend(mock_suite["llm"]), SessionPool([session]))
+    assert outcome.status != PROVED
+    assert "candidate_pass" not in [e.action for e in outcome.audit.events]

@@ -87,11 +87,11 @@ def test_transform_empty_context_closable(plain_session):
     assert result.status == PASS
 
 
-def test_transform_reproduces_annotated_types_verbatim():
+def test_transform_reproduces_annotated_types_verbatim(plain_session):
     ctx = extract_goal(
         _info("x : ℝ\nh : x = (2 : ℝ)\n⊢ x + (2 : ℝ) = (4 : ℝ)"),
         PARENT, SITE, 1)
-    statement = transform_goal(ctx)
+    statement = transform_goal(ctx, plain_session)
     assert "(h : x = (2 : ℝ))" in statement.statement_text
     assert statement.statement_text.endswith(": x + (2 : ℝ) = (4 : ℝ) := by")
 

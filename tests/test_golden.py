@@ -17,7 +17,7 @@ from apollo.config import RepairConfig
 from apollo.engine import apollo
 from apollo.llm import MockBackend
 from apollo.proofscript import TheoremStatement
-from apollo.repl import SessionPool, start_session
+from apollo.repl import Session, SessionPool, normalize_code, start_session
 from conftest import (
     FIXTURES,
     HEADER_332,
@@ -93,6 +93,31 @@ def test_canonical_outcomes_byte_identical(tmp_path):
     for label, doc in docs.items():
         assert doc == expected[label], label
     assert render(docs) == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_no_apollo_call_compiles_the_same_code_twice(tmp_path, monkeypatch):
+    """Every compile happens once, at the one place that owns it: over the
+    48 runs no theorem sends the same code to the REPL twice."""
+    sent: list[list[str]] = []  # one list per apollo() call
+    check, run = Session.check, apollo
+
+    def recording_check(self, code, *args, **kwargs):
+        sent[-1].append(normalize_code(code))
+        return check(self, code, *args, **kwargs)
+
+    def recording_apollo(*args, **kwargs):
+        sent.append([])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(Session, "check", recording_check)
+    monkeypatch.setattr(sys.modules[__name__], "apollo", recording_apollo)
+    docs = documents(tmp_path)
+    assert len(sent) == len(docs) == 48
+    repeats = {label: len(codes) - len(set(codes))
+               for label, codes in zip(docs, sent)}
+    assert {label: n for label, n in repeats.items() if n} == {}
+    assert sum(map(len, sent)) == sum(
+        json.loads(doc)["ledger"]["repl_calls"] for doc in docs.values())
 
 
 if __name__ == "__main__":

@@ -56,6 +56,17 @@ def test_proved_theorem_visible_only_in_its_own_command(plain_session):
     assert plain_session.check(helper + user).status == PASS
 
 
+def test_import_after_code_is_rejected_as_in_lean(plain_session):
+    result = plain_session.check(
+        "open Real\nimport Mathlib\ntheorem t : 1 = 1 := by rfl\n")
+    assert result.status == FAIL
+    (err,) = result.errors
+    assert err.pos.line == 2
+    assert "must be used in the beginning of the file" in err.message
+    leading = "-- header\n\nimport Mathlib\ntheorem t : 1 = 1 := by rfl\n"
+    assert plain_session.check(leading).status == PASS
+
+
 def test_unknown_import_header():
     with pytest.raises(HeaderFailed) as excinfo:
         start_session(fake_repl_cmd(), import_header="import NoSuchModule")
