@@ -288,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plot-data", default=None,
                         help="write proof-length distribution JSON here")
     parser.add_argument("--sample-cap", type=int, default=1100)
-    parser.add_argument("--splice-mode", choices=("inline", "standalone"),
-                        default="inline")
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 
@@ -311,7 +309,6 @@ def main(argv=None) -> int:
             enable_llm_reinvoker=not args.disable_llm_reinvoker,
             rules_path=args.rules,
             suite_path=args.suite,
-            splice_mode=args.splice_mode,
             sample_cap=args.sample_cap,
         )
         items = load_dataset(args.dataset)

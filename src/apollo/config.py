@@ -21,7 +21,6 @@ class RepairConfig:
     enable_llm_reinvoker: bool = True
     rules_path: str | None = None
     suite_path: str | None = None
-    splice_mode: str = "inline"  # or "standalone"
     sample_cap: int = 1100  # per-theorem generation budget
     item_time_limit: float = 7200.0
     temperature: float = 1.0
@@ -32,8 +31,6 @@ class RepairConfig:
             raise ValueError("max_depth_r must be >= 0")
         if self.k_per_goal < 1:
             raise ValueError("k_per_goal must be >= 1")
-        if self.splice_mode not in ("inline", "standalone"):
-            raise ValueError(f"unknown splice mode {self.splice_mode!r}")
 
 
 class BudgetLedger:

@@ -136,10 +136,8 @@ def proof_length(script: ProofScript) -> int:
     total = 0
     for _, node in script.walk():
         for line in node.lines:
-            if line.strip() and mask_regions(line).strip():
+            if mask_regions(line).strip():
                 total += 1
-    if total == 0:
-        total = 1 if " sorry" in serialize(script) or count_sorries(script) else 0
     return total
 
 
@@ -219,10 +217,10 @@ def _compile_as_generated(session, statement: TheoremStatement, text: str,
                           ) -> tuple[CompileResult, SorrifiedScript | None]:
     """Compile `text` as written.  It is accepted when the compile passes,
     the text parses, the statement is unchanged and no sorry is left: the
-    test `verify_final` makes, on the same code, since serializing the
-    parsed text gives `normalize(text)`.  Raises ParseError for an
-    unterminated block comment, or for a text that passes but does not
-    parse."""
+    test `verify_final` makes, on the same code, since a parsed script's
+    text is `normalize(text)` (an empty body gains a sorry, which rejects
+    it).  Raises ParseError for an unterminated block comment, or for a
+    text that passes but does not parse."""
     result = check_script(text, session, config.compile_timeout)
     if result.status != PASS:
         return result, None
@@ -318,20 +316,19 @@ def _recurse_and_assemble(run: _Run, session, best: _CandidateState,
         sub = _frame(run, session, sub_statement, depth + 1, MODE_SUB_LEMMA)
         sub_results.append((span, sub))
 
-    return assemble(sorrified, sub_results, config)
+    return assemble(sorrified, sub_results)
 
 
 def assemble(parent: SorrifiedScript,
-             sub_outcomes: list[tuple[SourceSpan | None, _FrameResult | None]],
-             config: RepairConfig | None = None) -> ProofScript:
+             sub_outcomes: list[tuple[SourceSpan | None, _FrameResult | None]]
+             ) -> ProofScript:
     """Splice proved sub-proofs back in; unproved sites keep their sorry.
     Splicing runs in reverse position order so earlier spans stay valid."""
-    config = config or RepairConfig()
     script = parent.script
     for span, sub in reversed(sub_outcomes):
         if span is None or sub is None or sub.status != PROVED or sub.script is None:
             continue
-        script = splice_subproof(script, span, sub.script, config.splice_mode)
+        script = splice_subproof(script, span, sub.script)
     return script
 
 

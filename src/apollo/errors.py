@@ -21,36 +21,24 @@ class NoProofBody(ParseError):
     """No `:= by` introducing a tactic proof was found; the text is unusable."""
 
 
-class EditError(ApolloError):
-    pass
-
-
-class NodeNotFound(EditError):
+class NodeNotFound(ApolloError):
     pass
 
 
 # --- REPL client ---
 
-class SessionError(ApolloError):
+class SpawnFailed(ApolloError):
     pass
 
 
-class SpawnFailed(SessionError):
-    pass
-
-
-class HeaderFailed(SessionError):
+class HeaderFailed(ApolloError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         detail = "; ".join(d.message.splitlines()[0] for d in self.diagnostics[:3])
         super().__init__(f"import header failed to compile: {detail}")
 
 
-class ProtocolError(ApolloError):
-    pass
-
-
-class MalformedResponse(ProtocolError):
+class MalformedResponse(ApolloError):
     pass
 
 
@@ -81,11 +69,7 @@ class StatementMalformed(SorrifyError):
         super().__init__(f"theorem statement is malformed: {detail}")
 
 
-class RepairError(ApolloError):
-    pass
-
-
-class NoEnclosingNode(RepairError):
+class NoEnclosingNode(ApolloError):
     pass
 
 

@@ -150,18 +150,6 @@ def transform_goal(ctx: GoalContext, session,
     return statement
 
 
-def _binder_names(statement_text: str) -> list[str]:
-    names: list[str] = []
-    masked = mask_regions(statement_text)
-    m = re.match(r"\s*(theorem|lemma|example)\s+\S+", masked)
-    rest = masked[m.end():] if m else masked
-    stop = rest.find(":= by")
-    rest = rest[:stop] if stop != -1 else rest
-    for group in re.finditer(r"\(([^():]*):", rest):
-        names.extend(group.group(1).split())
-    return names
-
-
 def _reindent(lines: list[str], target_indent: int) -> list[str]:
     content = [ln for ln in lines if ln.strip()]
     if not content:
@@ -179,14 +167,10 @@ def _reindent(lines: list[str], target_indent: int) -> list[str]:
     return out
 
 
-def splice_subproof(parent: ProofScript, site: SourceSpan, sub: ProofScript,
-                    mode: str = "inline") -> ProofScript:
-    """Replace the sorry at `site` with the proof of `sub`.
-
-    Inline mode re-indents the sub-proof body under the site; standalone
-    mode inserts `sub` as a lemma above the theorem and closes the site
-    with `exact <name> <args>` applying the binders in order.
-    """
+def splice_subproof(parent: ProofScript, site: SourceSpan,
+                    sub: ProofScript) -> ProofScript:
+    """Replace the sorry at `site` with the proof body of `sub`, re-indented
+    under the site."""
     lines = serialize(parent).split("\n")
     idx = site.start_line - 1
     if idx < 0 or idx >= len(lines):
@@ -199,16 +183,6 @@ def splice_subproof(parent: ProofScript, site: SourceSpan, sub: ProofScript,
     suffix = line[site.end_col :]
     if suffix.strip():
         raise SiteVanished(f"trailing text after the sorry at {site}: {suffix!r}")
-
-    if mode == "standalone":
-        args = " ".join(_binder_names(sub.statement.statement_text))
-        call = f"exact {sub.statement.name}" + (f" {args}" if args else "")
-        lines[idx] = prefix + call
-        stmt = parent.statement
-        header_len = stmt.header.count("\n")
-        lemma_text = serialize(sub)[len(sub.statement.header):].rstrip("\n")
-        lines[header_len:header_len] = lemma_text.split("\n") + [""]
-        return parse_script("\n".join(lines), stmt)
 
     sub_body = body_lines(sub)
     line_indent = len(line) - len(line.lstrip()) if line.strip() else site.start_col

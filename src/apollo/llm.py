@@ -138,7 +138,9 @@ class HttpBackend:
             if response.status_code == 429:
                 try:
                     retry_after = float(response.headers.get("Retry-After", 1.0))
-                except ValueError:  # an HTTP-date
+                except ValueError:
+                    retry_after = -1.0
+                if not retry_after >= 0:  # an HTTP-date, a negative or a NaN
                     retry_after = _BACKOFF_BASE * (2 ** attempt)
                 if attempt == _MAX_RETRIES:
                     raise BackendError("rate_limited", "rate limited",

@@ -1,10 +1,11 @@
-"""Lean proof scripts as editable trees of indentation-nested tactic blocks.
+"""Lean proof scripts: normalized source text indexed by a tree of
+indentation-nested tactic blocks.
 
-A script is parsed into a tree whose nesting mirrors indentation only; no
-attempt is made to understand the full Lean grammar.  Serialization
-reproduces the source text up to trailing-whitespace normalization, which
-is what makes the edit operations safe to compose: every edit re-parses,
-so tree invariants hold by construction.
+A script is its text, kept once with trailing whitespace normalized away.
+Parsing builds a tree over that text whose nesting mirrors indentation
+only; no attempt is made to understand the full Lean grammar.  Every edit
+changes lines of the text and re-parses, so tree invariants hold by
+construction.
 """
 
 from __future__ import annotations
@@ -109,10 +110,10 @@ class TheoremStatement:
 class ProofBlock:
     span: SourceSpan
     indent: int
-    lines: list[str]
+    lines: list[str]  # own non-blank lines of the script text; children hold the rest
     children: list[ProofBlock] = field(default_factory=list)
     kind: str = KIND_TACTIC
-    inline: bool = False  # first line shares the statement's `by` line
+    inline: bool = False  # on the statement's `by` line, with everything through `by` blanked
 
     def walk(self, path=()):  # yields (path, node) depth first
         yield path, self
@@ -120,24 +121,19 @@ class ProofBlock:
             yield from child.walk(path + (i,))
 
     def line_count(self) -> int:
-        return sum(1 for ln in self.lines if ln.strip()) + sum(
-            c.line_count() for c in self.children
-        )
+        return len(self.lines) + sum(c.line_count() for c in self.children)
 
 
 @dataclass
 class ProofScript:
+    """A theorem's normalized source `text` and the block tree that indexes
+    it, in lines of `text`.  `body_start_line` is the 1-based line of the
+    first body line: the `by` line itself when the first tactic is inline."""
+
     statement: TheoremStatement
     root: ProofBlock
-    inline_tail: str | None = None  # verbatim remainder of the `by` line
-    lead_blanks: int = 0  # blank lines between `by` and the first tactic
-
-    @property
-    def body_start_line(self) -> int:
-        """1-based line of the first body line (the `by` line itself when the
-        first tactic is inline)."""
-        stmt_lines = (self.statement.header + self.statement.statement_text).count("\n")
-        return stmt_lines + 1 if self.inline_tail is not None else stmt_lines + 2
+    text: str
+    body_start_line: int
 
     def node(self, path: tuple[int, ...]) -> ProofBlock:
         cur = self.root
@@ -215,7 +211,6 @@ class _Line:
     indent: int
     text: str  # verbatim, trailing whitespace stripped
     masked: str
-    blanks_after: int = 0
 
 
 def _kind_for(masked_line: str, opener: bool) -> str:
@@ -239,11 +234,8 @@ def _build_region(lines: list[_Line], i: int, stop_indent: int) -> tuple[list[Pr
             return
         first, last = run[0], run[-1]
         span = SourceSpan(first.no, first.indent, last.no, len(last.text))
-        texts: list[str] = []
-        for ln in run:
-            texts.append(ln.text)
-            texts.extend([""] * ln.blanks_after)
-        nodes.append(ProofBlock(span, first.indent, texts, [], KIND_TACTIC))
+        nodes.append(ProofBlock(span, first.indent, [ln.text for ln in run], [],
+                                KIND_TACTIC))
         run.clear()
 
     while i < len(lines):
@@ -258,8 +250,8 @@ def _build_region(lines: list[_Line], i: int, stop_indent: int) -> tuple[list[Pr
             end_line = last.end_line if last else ln.no
             end_col = last.end_col if last else len(ln.text)
             span = SourceSpan(ln.no, ln.indent, end_line, end_col)
-            header = [ln.text] + [""] * ln.blanks_after
-            nodes.append(ProofBlock(span, ln.indent, header, children, _kind_for(ln.masked, True)))
+            nodes.append(ProofBlock(span, ln.indent, [ln.text], children,
+                                    _kind_for(ln.masked, True)))
         else:
             run.append(ln)
             i += 1
@@ -268,15 +260,20 @@ def _build_region(lines: list[_Line], i: int, stop_indent: int) -> tuple[list[Pr
 
 
 def parse_script(source: str, statement: TheoremStatement | None = None) -> ProofScript:
-    """Parse Lean source into a ProofScript.
+    """Parse Lean source into a ProofScript over `normalize(source)`.
 
     The block tree reflects indentation nesting only; comments and string
     literals are masked first so keywords inside them carry no structure.
+    An empty body becomes a lone `sorry`, so the text always carries a
+    proof body and the tree holds it.
     """
     norm = normalize(source)
     masked = mask_regions(norm)
     want_name = statement.name if statement else None
     decl_start, by_end = _locate_statement(masked, want_name)
+    if not norm[by_end:].strip():
+        norm = norm[:by_end] + "\n  sorry\n"
+        masked = masked[:by_end] + "\n  sorry\n"
 
     header = norm[:decl_start]
     statement_text = norm[decl_start:by_end]
@@ -287,111 +284,46 @@ def parse_script(source: str, statement: TheoremStatement | None = None) -> Proo
     informal = statement.informal_prefix if statement else None
     stmt = TheoremStatement(name, header, statement_text, informal)
 
-    body_lines = norm[by_end:].split("\n")
-    masked_lines = masked[by_end:].split("\n")
     by_line_no = norm.count("\n", 0, by_end) + 1
-    by_col = by_end - (norm.rfind("\n", 0, by_end) + 1)
-
-    inline_tail = body_lines[0].rstrip() if body_lines[0].strip() else None
-
-    records: list[_Line] = []
-    lead_blanks = 0
-    if inline_tail is not None:
-        chunk = inline_tail.lstrip()
-        col = by_col + (len(inline_tail) - len(chunk))
-        records.append(_Line(by_line_no, col, chunk, masked_lines[0].strip()))
-    for offset, (text, mtext) in enumerate(zip(body_lines[1:], masked_lines[1:])):
-        line_no = by_line_no + 1 + offset
-        text = text.rstrip()
-        if not text:
-            if records:
-                records[-1].blanks_after += 1
-            else:
-                lead_blanks += 1
-            continue
-        indent = len(text) - len(text.lstrip())
-        records.append(_Line(line_no, indent, text, mtext.rstrip()))
-    if records:
-        records[-1].blanks_after = 0
+    # the body from the `by` line on, with everything through `by` blanked
+    blank = " " * (by_end - (norm.rfind("\n", 0, by_end) + 1))
+    texts = (blank + norm[by_end:]).split("\n")
+    masks = (blank + masked[by_end:]).split("\n")
+    records = [_Line(no, len(text) - len(text.lstrip()), text, mtext.rstrip())
+               for no, (text, mtext) in enumerate(zip(texts, masks), start=by_line_no)
+               if text.strip()]
 
     children: list[ProofBlock] = []
-    if inline_tail is not None:
+    if records[0].no == by_line_no:
         rec = records.pop(0)
-        node = ProofBlock(
-            SourceSpan(rec.no, rec.indent, rec.no, rec.indent + len(rec.text)),
-            rec.indent,
-            [rec.text] + [""] * rec.blanks_after,
-            [],
-            KIND_TACTIC,
-            inline=True,
-        )
-        children.append(node)
-
+        span = SourceSpan(rec.no, rec.indent, rec.no, len(rec.text))
+        children.append(ProofBlock(span, rec.indent, [rec.text], [], KIND_TACTIC,
+                                   inline=True))
     pos = 0
     while pos < len(records):
         built, pos = _build_region(records, pos, -1)
         children.extend(built)
 
-    first_line = children[0].span.start_line if children else by_line_no
-    last = children[-1].span if children else SourceSpan(by_line_no, by_col, by_line_no, by_col)
-    root = ProofBlock(
-        SourceSpan(first_line, 0, last.end_line, last.end_col),
-        -1,
-        [],
-        children,
-        KIND_ANON,
-    )
-    return ProofScript(stmt, root, inline_tail, lead_blanks)
-
-
-def _emit(node: ProofBlock, out: list[str]) -> None:
-    out.extend(node.lines)
-    for child in node.children:
-        _emit(child, out)
+    first, last = children[0].span, children[-1].span
+    root = ProofBlock(SourceSpan(first.start_line, 0, last.end_line, last.end_col),
+                      -1, [], children, KIND_ANON)
+    body_start = by_line_no if children[0].inline else by_line_no + 1
+    return ProofScript(stmt, root, norm, body_start)
 
 
 def serialize(script: ProofScript) -> str:
-    """Reconstruct source text: header, statement, then the block tree.
-
-    Deterministic; a script whose body is empty serializes with a lone
-    `sorry` so the output always carries a proof body.
-    """
-    body_lines: list[str] = []
-    children = list(script.root.children)
-    stmt_line = script.statement.statement_text
-    if children and children[0].inline:
-        head = children[0]
-        sep = max(head.indent - len(stmt_line.split("\n")[-1]), 1)
-        stmt_line = stmt_line + " " * sep + head.lines[0]
-        body_lines.extend(head.lines[1:])
-        for sub in head.children:
-            _emit(sub, body_lines)
-        children = children[1:]
-    else:
-        body_lines.extend([""] * script.lead_blanks)
-    for child in children:
-        _emit(child, body_lines)
-    if not any(ln.strip() for ln in body_lines) and stmt_line == script.statement.statement_text:
-        non_inline = [c for c in script.root.children if not c.inline]
-        indent = non_inline[0].indent if non_inline else 2
-        body_lines = [" " * max(indent, 1) + "sorry"]
-    text = script.statement.header + stmt_line
-    if body_lines:
-        text += "\n" + "\n".join(body_lines)
-    return normalize(text)
+    """The script's source text: the normalized source it was parsed from,
+    with a lone `sorry` in an empty body."""
+    return script.text
 
 
 def count_sorries(script: ProofScript) -> int:
     """Number of sorry/admit tokens outside comments and strings."""
-    return len(_SORRY_RE.findall(mask_regions(serialize(script))))
+    return len(_SORRY_RE.findall(mask_regions(script.text)))
 
 
-def _reparse(script: ProofScript, new_text: str) -> ProofScript:
-    return parse_script(new_text, script.statement)
-
-
-def _script_lines(script: ProofScript) -> list[str]:
-    return serialize(script).split("\n")
+def _reparse(script: ProofScript, lines: list[str]) -> ProofScript:
+    return parse_script("\n".join(lines), script.statement)
 
 
 def remove_line(script: ProofScript, span: SourceSpan) -> ProofScript:
@@ -400,7 +332,7 @@ def remove_line(script: ProofScript, span: SourceSpan) -> ProofScript:
     When the line is the statement's own `by` line (inline first tactic),
     only the tactic tail after `by` is stripped.
     """
-    lines = _script_lines(script)
+    lines = script.text.split("\n")
     idx = span.start_line - 1
     if idx < 0 or idx >= len(lines):
         raise NodeNotFound(f"line {span.start_line} out of range")
@@ -409,14 +341,14 @@ def remove_line(script: ProofScript, span: SourceSpan) -> ProofScript:
         lines[idx] = script.statement.statement_text.split("\n")[-1]
     else:
         del lines[idx]
-    return _reparse(script, "\n".join(lines))
+    return _reparse(script, lines)
 
 
 def remove_block(script: ProofScript, node_id: tuple[int, ...]) -> ProofScript:
     node = script.node(node_id)
-    lines = _script_lines(script)
+    lines = script.text.split("\n")
     del lines[node.span.start_line - 1 : node.span.end_line]
-    return _reparse(script, "\n".join(lines))
+    return _reparse(script, lines)
 
 
 _BY_TAIL_RE = re.compile(r"(:=\s*by)\b")
@@ -433,11 +365,11 @@ def replace_block_with_sorry(script: ProofScript, node_id: tuple[int, ...]) -> P
         stmt = script.statement
         non_inline = [c for c in script.root.children if not c.inline]
         indent = non_inline[0].indent if non_inline else 2
-        text = stmt.header + stmt.statement_text + "\n" + " " * max(indent, 1) + "sorry"
-        return _reparse(script, text)
+        return _reparse(script, [stmt.header + stmt.statement_text,
+                                 " " * max(indent, 1) + "sorry"])
 
     node = script.node(node_id)
-    lines = _script_lines(script)
+    lines = script.text.split("\n")
     header = node.lines[0] if node.lines else ""
     masked_header = mask_regions(header) if header else ""
     m = _BY_TAIL_RE.search(masked_header)
@@ -448,13 +380,13 @@ def replace_block_with_sorry(script: ProofScript, node_id: tuple[int, ...]) -> P
     else:
         new_line = " " * node.indent + "sorry"
     lines[node.span.start_line - 1 : node.span.end_line] = [new_line]
-    return _reparse(script, "\n".join(lines))
+    return _reparse(script, lines)
 
 
 def replace_line_with_sorry(script: ProofScript, span: SourceSpan) -> ProofScript:
     """Rewrite the single line at span.start_line to a sorried form,
     keeping a `have`-style header (and so the hypothesis it binds) intact."""
-    lines = _script_lines(script)
+    lines = script.text.split("\n")
     idx = span.start_line - 1
     if idx < 0 or idx >= len(lines):
         raise NodeNotFound(f"line {span.start_line} out of range")
@@ -470,14 +402,14 @@ def replace_line_with_sorry(script: ProofScript, span: SourceSpan) -> ProofScrip
         indent = len(line) - len(line.lstrip())
         new_line = " " * indent + "sorry"
     lines[idx] = new_line
-    return _reparse(script, "\n".join(lines))
+    return _reparse(script, lines)
 
 
 def insert_sorry_after(
     script: ProofScript, span: SourceSpan, indent: int | None = None
 ) -> ProofScript:
     """Insert a `sorry` line directly after span.end_line."""
-    lines = _script_lines(script)
+    lines = script.text.split("\n")
     idx = span.end_line
     if idx < 0 or idx > len(lines):
         raise NodeNotFound(f"line {span.end_line} out of range")
@@ -485,7 +417,7 @@ def insert_sorry_after(
         ref = lines[idx - 1] if 0 < idx <= len(lines) else ""
         indent = len(ref) - len(ref.lstrip()) if ref.strip() else 2
     lines.insert(idx, " " * indent + "sorry")
-    return _reparse(script, "\n".join(lines))
+    return _reparse(script, lines)
 
 
 def replace_span_text(script: ProofScript, span: SourceSpan, replacement: str) -> ProofScript:
@@ -493,28 +425,23 @@ def replace_span_text(script: ProofScript, span: SourceSpan, replacement: str) -
     `sorry` token for a candidate tactic."""
     if span.start_line != span.end_line:
         raise NodeNotFound("only single-line spans can be replaced")
-    lines = _script_lines(script)
+    lines = script.text.split("\n")
     idx = span.start_line - 1
     if idx < 0 or idx >= len(lines):
         raise NodeNotFound(f"line {span.start_line} out of range")
     line = lines[idx]
     lines[idx] = line[: span.start_col] + replacement + line[span.end_col :]
-    return _reparse(script, "\n".join(lines))
+    return _reparse(script, lines)
 
 
 def body_lines(script: ProofScript) -> list[str]:
-    """The proof body as standalone lines; an inline first tactic gets its
-    own line at its original column."""
-    out: list[str] = []
-    for child in script.root.children:
-        if child.inline:
-            out.append(" " * child.indent + child.lines[0])
-            out.extend(child.lines[1:])
-            for sub in child.children:
-                _emit(sub, out)
-        else:
-            _emit(child, out)
-    return out
+    """The proof body as standalone lines, first tactic to last; an inline
+    first tactic keeps its column, the `by` line's prefix blanked."""
+    root = script.root
+    lines = script.text.split("\n")[root.span.start_line - 1 : root.span.end_line]
+    if root.children[0].inline:
+        lines[0] = root.children[0].lines[0]
+    return lines
 
 
 def statement_matches(script: ProofScript, statement: TheoremStatement) -> bool:

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import HeaderFailed, MalformedResponse, SpawnFailed
+from .proofscript import normalize
 
 PASS = "pass"
 PASS_WITH_SORRIES = "pass_with_sorries"
@@ -76,12 +77,9 @@ class CompileResult:
 
 
 def normalize_code(code: str) -> str:
-    """Trim trailing whitespace per line and trailing blank lines; this is
-    the form sent to the REPL."""
-    lines = [ln.rstrip() for ln in code.split("\n")]
-    while lines and not lines[-1]:
-        lines.pop()
-    return "\n".join(lines)
+    """`proofscript.normalize` without its final newline: the form sent to
+    the REPL."""
+    return normalize(code)[:-1]
 
 
 def _position(obj) -> Position:

@@ -173,11 +173,7 @@ def _insert_action(script: ProofScript, diag: Diagnostic) -> RepairAction:
             return RepairAction(INSERT_SORRY, block.span, diag, indent)
     # the statement's own `by` line: goals open at the end of the root block
     root = script.root
-    if root.children:
-        indent = root.children[-1].indent
-        return RepairAction(INSERT_SORRY, root.span, diag, indent)
-    span = SourceSpan(script.body_start_line - 1, 0, script.body_start_line - 1, 0)
-    return RepairAction(INSERT_SORRY, span, diag, 2)
+    return RepairAction(INSERT_SORRY, root.span, diag, root.children[-1].indent)
 
 
 def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) -> RepairAction:
@@ -224,7 +220,7 @@ def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) 
                                 SourceSpan(line, 0, line, 0), diag)
         if block_path == ():
             # lines directly under the root are dropped one at a time; an
-            # emptied body serializes to a lone sorry
+            # emptied body parses back as a lone sorry
             return RepairAction(REMOVE_LINE, SourceSpan(line, 0, line, 0), diag)
         block = script.node(block_path)
         survives = block.line_count() - 1 >= 2  # header plus one tactic

@@ -147,22 +147,6 @@ def test_splice_changes_nothing_outside_site():
     assert after[-2:] == before[-2:]
 
 
-def test_splice_standalone_mode(plain_session):
-    parent = parse_script(
-        "import Mathlib\n"
-        "theorem t (x : ℝ) (hx : 0 < x) : 1 = 1 := by\n"
-        "  sorry\n")
-    sub = parse_script(
-        "theorem t_sub1 (x : ℝ) (hx : 0 < x) : 1 = 1 := by\n  rfl\n")
-    out = splice_subproof(parent, SourceSpan(3, 2, 3, 7), sub, mode="standalone")
-    text = serialize(out)
-    assert "theorem t_sub1" in text
-    assert "exact t_sub1 x hx" in text
-    assert text.index("theorem t_sub1") < text.index("theorem t (")
-    result = plain_session.check(text.replace("import Mathlib\n", ""))
-    assert result.status == PASS
-
-
 def test_splice_into_zero_sorry_parent_raises():
     parent = parse_script("theorem t : 1 = 1 := by\n  rfl\n")
     sub = parse_script("theorem t_sub1 : 1 = 1 := by\n  rfl\n")

@@ -118,9 +118,13 @@ def test_mock_backend_extracts_fenced_code(tmp_path):
 
 # --- http backend -----------------------------------------------------------
 
+_RETRY_AFTER = {"429": "0.05", "429-date": "Wed, 21 Oct 2015 07:28:00 GMT",
+                "429-negative": "-1", "429-nan": "nan"}
+
+
 class _Endpoint(BaseHTTPRequestHandler):
     calls = []
-    behavior = []  # queue of ("ok"|"500"|"429"|"429-date"|"text", payload) entries
+    behavior = []  # queue of ("ok"|"500"|"429..."|"text", payload) entries
 
     def do_POST(self):  # noqa: N802
         length = int(self.headers["Content-Length"])
@@ -133,10 +137,9 @@ class _Endpoint(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        if kind in ("429", "429-date"):
+        if kind in _RETRY_AFTER:
             self.send_response(429)
-            self.send_header("Retry-After", "0.05" if kind == "429" else
-                             "Wed, 21 Oct 2015 07:28:00 GMT")
+            self.send_header("Retry-After", _RETRY_AFTER[kind])
             self.end_headers()
             return
         if kind == "text":
@@ -220,6 +223,19 @@ def test_http_backend_backs_off_on_retry_after_date(endpoint, monkeypatch):
     sleeps = []
     monkeypatch.setattr("apollo.llm.time.sleep", sleeps.append)
     _Endpoint.behavior = [("429-date", None)]
+    backend = HttpBackend(endpoint, "m")
+    result = backend.generate(GenerationRequest(STMT, k=1))
+    assert len(result.candidates) == 1
+    assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("kind", ["429-negative", "429-nan"])
+def test_http_backend_backs_off_on_invalid_retry_after(endpoint, monkeypatch, kind):
+    # RFC 9110 delay-seconds are non-negative: -1 or nan gets the backoff
+    # rather than a sleep that raises
+    sleeps = []
+    monkeypatch.setattr("apollo.llm.time.sleep", sleeps.append)
+    _Endpoint.behavior = [(kind, None)]
     backend = HttpBackend(endpoint, "m")
     result = backend.generate(GenerationRequest(STMT, k=1))
     assert len(result.candidates) == 1

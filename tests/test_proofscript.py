@@ -7,6 +7,7 @@ from apollo.proofscript import (
     KIND_HAVE,
     KIND_TACTIC,
     SourceSpan,
+    body_lines,
     count_sorries,
     insert_sorry_after,
     mask_regions,
@@ -172,6 +173,27 @@ def test_empty_body_serializes_with_lone_sorry(plain_session):
     assert result.status == "pass_with_sorries"
 
 
+def test_empty_body_parses_to_a_tree_that_holds_its_sorry():
+    script = parse_script("theorem t : 1 = 1 := by\n")
+    assert serialize(script) == "theorem t : 1 = 1 := by\n  sorry\n"
+    (node,) = script.root.children
+    assert node.kind == KIND_TACTIC and node.lines == ["  sorry"]
+    assert node.span.start_line == node.span.end_line == 2
+    assert script.node_at_line(2) == ((0,), node)
+    assert script.root.line_count() == 1
+
+
+def assert_tree_indexes_text(script):
+    """Each node's lines, depth first, are the non-blank body lines."""
+    emitted = [line for _, node in script.walk() for line in node.lines]
+    assert emitted == [line for line in body_lines(script) if line.strip()]
+
+
+@pytest.mark.parametrize("path", corpus_scripts(), ids=lambda p: p.name)
+def test_tree_indexes_text_on_corpus(path):
+    assert_tree_indexes_text(parse_script(path.read_text(encoding="utf-8")))
+
+
 def test_replace_span_text_swaps_sorry():
     script = parse_script("theorem t : 2 + 2 = 4 := by\n  sorry")
     out = replace_span_text(script, SourceSpan(2, 2, 2, 7), "norm_num")
@@ -196,22 +218,34 @@ def test_tree_rebuilt_after_edit_satisfies_invariants():
 
 
 _IDENT = st.sampled_from(["norm_num", "ring_nf", "linarith", "simp", "omega"])
+_BLANK = st.sampled_from(["", "  ", "\t"])
 
 
 @st.composite
 def random_proof(draw):
-    lines = ["theorem rand_thm (x : ℝ) (h : x = 1) : x + 0 = 1 := by"]
+    """Nested haves with blank lines (one may follow `by`), comment lines,
+    trailing whitespace and, at times, an inline first tactic."""
+    head = "theorem rand_thm (x : ℝ) (h : x = 1) : x + 0 = 1 := by"
+    if draw(st.booleans()):
+        head += " " * draw(st.integers(1, 3)) + draw(_IDENT)
+    lines = [head]
+    if draw(st.booleans()):
+        lines.append(draw(_BLANK))
     depth = 1
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.integers(0, 3))
+        kind = draw(st.integers(0, 5))
         if kind == 0 and depth < 4:
             lines.append("  " * depth + f"have h{len(lines)} : x = 1 := by")
             depth += 1
         elif kind == 1 and depth > 1:
             depth -= 1
             lines.append("  " * depth + draw(_IDENT))
+        elif kind == 2:
+            lines.append(draw(_BLANK))
+        elif kind == 3:
+            lines.append("  " * draw(st.integers(1, depth)) + "-- " + draw(_IDENT))
         else:
-            lines.append("  " * depth + draw(_IDENT))
+            lines.append("  " * depth + draw(_IDENT) + draw(_BLANK))
     lines.append("  " * depth + "rfl")
     return "\n".join(lines) + "\n"
 
@@ -220,3 +254,9 @@ def random_proof(draw):
 @given(random_proof())
 def test_round_trip_on_random_indent_trees(source):
     assert serialize(parse_script(source)) == normalize(source)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_proof())
+def test_tree_indexes_text_on_random_indent_trees(source):
+    assert_tree_indexes_text(parse_script(source))
