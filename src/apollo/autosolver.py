@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .config import RepairConfig
-from .proofscript import ProofScript, SourceSpan, replace_span_text, serialize
+from .proofscript import ProofScript, SourceSpan, replace_lines, serialize
 from .repl import CompileResult
 from .sorrifier import SorrifiedScript, check_script
 
@@ -94,9 +94,16 @@ def parse_hint_suggestions(result: CompileResult) -> list[str]:
     return suggestions
 
 
+def _swap(script: ProofScript, span: SourceSpan, text: str) -> ProofScript:
+    """Replace the sorry token at the one-line `span` with `text`."""
+    line = script.text.split("\n")[span.start_line - 1]
+    return replace_lines(script, span.start_line, span.start_line,
+                         [line[: span.start_col] + text + line[span.end_col :]])
+
+
 def _trial(script: ProofScript, span: SourceSpan, text: str, session,
            config: RepairConfig) -> tuple[ProofScript, CompileResult]:
-    candidate_script = replace_span_text(script, span, text)
+    candidate_script = _swap(script, span, text)
     return candidate_script, check_script(serialize(candidate_script), session,
                                           config.candidate_timeout, pp=True)
 
@@ -159,5 +166,5 @@ def solve_sorries(s: SorrifiedScript, session,
 
 def replay_commits(script: ProofScript, commits: list[CommittedTactic]) -> ProofScript:
     for commit in commits:
-        script = replace_span_text(script, commit.span, commit.candidate.text)
+        script = _swap(script, commit.span, commit.candidate.text)
     return script

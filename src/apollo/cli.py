@@ -32,7 +32,6 @@ class BenchmarkItem:
     header: str
     informal_prefix: str | None
     formal_statement: str
-    split: str | None = None
 
     def statement(self) -> TheoremStatement:
         """Derive the statement contract, dropping any placeholder body the
@@ -49,7 +48,8 @@ class BenchmarkItem:
 
 def load_dataset(path) -> list[BenchmarkItem]:
     """Line-delimited JSON records with name/header/informal_prefix/
-    formal_statement/split fields; duplicate names are rejected."""
+    formal_statement fields, other keys (such as `split`) ignored;
+    duplicate names are rejected."""
     items: list[BenchmarkItem] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -78,7 +78,6 @@ def load_dataset(path) -> list[BenchmarkItem]:
                 header=header,
                 informal_prefix=rec.get("informal_prefix") or None,
                 formal_statement=formal,
-                split=rec.get("split"),
             ))
     if not items:
         log.warning("dataset %s is empty", path)
@@ -235,7 +234,7 @@ def run(items: list[BenchmarkItem], config: RepairConfig, backend,
             outcome.audit.write_jsonl(audit_path)
             record = _outcome_record(item.name, outcome,
                                      time.monotonic() - started, str(audit_path))
-        except Exception as exc:
+        except Exception as exc:  # outside apollo(), which fails an item itself
             log.exception("item %s errored: %s", item.name, exc)
             record = {
                 "name": item.name, "status": FAILED, "samples": 0, "tokens": 0,

@@ -40,6 +40,7 @@ from .proofscript import (
     ProofScript,
     SourceSpan,
     TheoremStatement,
+    body_lines,
     count_sorries,
     mask_regions,
     parse_script,
@@ -133,12 +134,8 @@ class Outcome:
 def proof_length(script: ProofScript) -> int:
     """Total tactic count: non-blank, non-comment lines of the proof body;
     combinator-joined tactics on one line count once."""
-    total = 0
-    for _, node in script.walk():
-        for line in node.lines:
-            if mask_regions(line).strip():
-                total += 1
-    return total
+    masked = mask_regions("\n".join(body_lines(script)))
+    return sum(1 for line in masked.split("\n") if line.strip())
 
 
 def verify_final(script: ProofScript, session,
@@ -304,7 +301,7 @@ def _recurse_and_assemble(run: _Run, session, best: _CandidateState,
         span = SourceSpan(info.pos.line, info.pos.column,
                           info.pos.line, info.end_pos.column)
         try:
-            ctx = extract_goal(info, script, span, ordinal)
+            ctx = extract_goal(info, script, ordinal)
             sub_statement = transform_goal(ctx, session, config)
         except (ExtractError, TransformError) as exc:
             run.audit.append(depth, "goal_extraction", "rejected",
@@ -411,7 +408,8 @@ def apollo(statement: TheoremStatement, depth: int, config: RepairConfig,
 
     A partial result at the top level re-enters once in feedback mode when
     re-invocation is enabled and budget remains; the better of the two
-    attempts wins.
+    attempts wins.  An unexpected error fails the theorem with the budget
+    it had spent, and is logged with its traceback.
     """
     ledger = BudgetLedger()
     audit = AuditLog()
@@ -420,18 +418,23 @@ def apollo(statement: TheoremStatement, depth: int, config: RepairConfig,
 
     with session_pool.lease() as session:
         calls_before = session.checks_issued
-        frame = _frame(run, session, statement, depth, MODE_INITIAL)
+        try:
+            frame = _frame(run, session, statement, depth, MODE_INITIAL)
 
-        if (frame.status == PARTIAL_WITH_SORRIES and depth == 0
-                and config.enable_llm_reinvoker and frame.script is not None
-                and ledger.samples_used < config.sample_cap):
-            audit.append(0, "orchestrator", "feedback_reentry", statement.name)
-            diags = frame.verify_result.diagnostics if frame.verify_result else []
-            retry = _frame(run, session, statement, 0, MODE_FEEDBACK_REPAIR,
-                           prior=(serialize(frame.script), diags))
-            rank = {PROVED: 0, PARTIAL_WITH_SORRIES: 1, FAILED: 2}
-            if rank[retry.status] < rank[frame.status]:
-                frame = retry
+            if (frame.status == PARTIAL_WITH_SORRIES and depth == 0
+                    and config.enable_llm_reinvoker and frame.script is not None
+                    and ledger.samples_used < config.sample_cap):
+                audit.append(0, "orchestrator", "feedback_reentry", statement.name)
+                diags = frame.verify_result.diagnostics if frame.verify_result else []
+                retry = _frame(run, session, statement, 0, MODE_FEEDBACK_REPAIR,
+                               prior=(serialize(frame.script), diags))
+                rank = {PROVED: 0, PARTIAL_WITH_SORRIES: 1, FAILED: 2}
+                if rank[retry.status] < rank[frame.status]:
+                    frame = retry
+        except Exception as exc:
+            log.exception("theorem %s errored: %s", statement.name, exc)
+            audit.append(0, "orchestrator", "error", f"{type(exc).__name__}: {exc}")
+            frame = _FrameResult(FAILED, None, f"error: {exc}")
 
         ledger.add_repl_calls(session.checks_issued - calls_before)
 

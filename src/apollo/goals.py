@@ -19,7 +19,7 @@ from .proofscript import (
     TheoremStatement,
     body_lines,
     mask_regions,
-    parse_script,
+    replace_lines,
     serialize,
 )
 from .sorrifier import validate_statement
@@ -33,7 +33,6 @@ _INACCESSIBLE = "✝"
 class GoalContext:
     hypotheses: tuple[tuple[str, str], ...]  # (name, type) in context order
     target: str
-    origin: tuple[str, SourceSpan]  # parent theorem name + sorry span
     fresh_name: str
     header: str
 
@@ -61,8 +60,7 @@ def _split_hypothesis(line: str) -> tuple[list[str], str]:
     raise UnparseableGoal(f"hypothesis line without a top-level colon: {line!r}")
 
 
-def extract_goal(sorry_info, script: ProofScript, site: SourceSpan,
-                 ordinal: int) -> GoalContext:
+def extract_goal(sorry_info, script: ProofScript, ordinal: int) -> GoalContext:
     """Parse a pretty-printed goal state into hypotheses and target.
 
     Multi-binder lines (`a b : ℕ`) yield one entry per name; inaccessible
@@ -127,8 +125,7 @@ def extract_goal(sorry_info, script: ProofScript, site: SourceSpan,
 
     taken = set(re.findall(r"[\w'₀-₉]+", mask_regions(serialize(script))))
     fresh = _fresh_name(script.statement.name, ordinal, taken)
-    return GoalContext(tuple(hypotheses), target,
-                       (script.statement.name, site), fresh, script.statement.header)
+    return GoalContext(tuple(hypotheses), target, fresh, script.statement.header)
 
 
 def transform_goal(ctx: GoalContext, session,
@@ -171,11 +168,10 @@ def splice_subproof(parent: ProofScript, site: SourceSpan,
                     sub: ProofScript) -> ProofScript:
     """Replace the sorry at `site` with the proof body of `sub`, re-indented
     under the site."""
-    lines = serialize(parent).split("\n")
-    idx = site.start_line - 1
-    if idx < 0 or idx >= len(lines):
+    lines = parent.text.split("\n")
+    if not 0 < site.start_line <= len(lines):
         raise SiteVanished(f"line {site.start_line} out of range")
-    line = lines[idx]
+    line = lines[site.start_line - 1]
     token = line[site.start_col : site.end_col]
     if token not in ("sorry", "admit"):
         raise SiteVanished(f"expected a sorry at {site}, found {token!r}")
@@ -191,5 +187,4 @@ def splice_subproof(parent: ProofScript, site: SourceSpan,
         new_lines = [prefix.rstrip()] + _reindent(sub_body, line_indent + 2)
     else:
         new_lines = _reindent(sub_body, site.start_col)
-    lines[idx : idx + 1] = new_lines
-    return parse_script("\n".join(lines), parent.statement)
+    return replace_lines(parent, site.start_line, site.start_line, new_lines)

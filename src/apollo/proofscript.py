@@ -4,8 +4,8 @@ indentation-nested tactic blocks.
 A script is its text, kept once with trailing whitespace normalized away.
 Parsing builds a tree over that text whose nesting mirrors indentation
 only; no attempt is made to understand the full Lean grammar.  Every edit
-changes lines of the text and re-parses, so tree invariants hold by
-construction.
+is one `replace_lines`: it swaps a range of lines of the text and
+re-parses, so tree invariants hold by construction.
 """
 
 from __future__ import annotations
@@ -322,116 +322,16 @@ def count_sorries(script: ProofScript) -> int:
     return len(_SORRY_RE.findall(mask_regions(script.text)))
 
 
-def _reparse(script: ProofScript, lines: list[str]) -> ProofScript:
+def replace_lines(script: ProofScript, first: int, last: int,
+                  new_lines: list[str]) -> ProofScript:
+    """Replace lines `first..last` of the text (1-based, inclusive) with
+    `new_lines` and re-parse; `last == first - 1` inserts before line
+    `first`.  Returns a new script; NodeNotFound when out of range."""
+    lines = script.text.split("\n")
+    if not 1 <= first <= last + 1 <= len(lines) + 1:
+        raise NodeNotFound(f"lines {first}..{last} out of range")
+    lines[first - 1 : last] = new_lines
     return parse_script("\n".join(lines), script.statement)
-
-
-def remove_line(script: ProofScript, span: SourceSpan) -> ProofScript:
-    """Delete the single line at span.start_line; returns a new script.
-
-    When the line is the statement's own `by` line (inline first tactic),
-    only the tactic tail after `by` is stripped.
-    """
-    lines = script.text.split("\n")
-    idx = span.start_line - 1
-    if idx < 0 or idx >= len(lines):
-        raise NodeNotFound(f"line {span.start_line} out of range")
-    stmt_last = (script.statement.header + script.statement.statement_text).count("\n") + 1
-    if span.start_line == stmt_last:
-        lines[idx] = script.statement.statement_text.split("\n")[-1]
-    else:
-        del lines[idx]
-    return _reparse(script, lines)
-
-
-def remove_block(script: ProofScript, node_id: tuple[int, ...]) -> ProofScript:
-    node = script.node(node_id)
-    lines = script.text.split("\n")
-    del lines[node.span.start_line - 1 : node.span.end_line]
-    return _reparse(script, lines)
-
-
-_BY_TAIL_RE = re.compile(r"(:=\s*by)\b")
-
-
-def replace_block_with_sorry(script: ProofScript, node_id: tuple[int, ...]) -> ProofScript:
-    """Collapse a block to a one-line sorried form.
-
-    A header carrying `:= by` keeps everything through `by` and gains a
-    trailing ` sorry`; a `=>`-style header gains ` sorry`; anything else
-    (including the root) becomes a bare `sorry` line.
-    """
-    if node_id == ():
-        stmt = script.statement
-        non_inline = [c for c in script.root.children if not c.inline]
-        indent = non_inline[0].indent if non_inline else 2
-        return _reparse(script, [stmt.header + stmt.statement_text,
-                                 " " * max(indent, 1) + "sorry"])
-
-    node = script.node(node_id)
-    lines = script.text.split("\n")
-    header = node.lines[0] if node.lines else ""
-    masked_header = mask_regions(header) if header else ""
-    m = _BY_TAIL_RE.search(masked_header)
-    if m:
-        new_line = header[: m.end(1)] + " sorry"
-    elif masked_header.rstrip().endswith("=>"):
-        new_line = header.rstrip() + " sorry"
-    else:
-        new_line = " " * node.indent + "sorry"
-    lines[node.span.start_line - 1 : node.span.end_line] = [new_line]
-    return _reparse(script, lines)
-
-
-def replace_line_with_sorry(script: ProofScript, span: SourceSpan) -> ProofScript:
-    """Rewrite the single line at span.start_line to a sorried form,
-    keeping a `have`-style header (and so the hypothesis it binds) intact."""
-    lines = script.text.split("\n")
-    idx = span.start_line - 1
-    if idx < 0 or idx >= len(lines):
-        raise NodeNotFound(f"line {span.start_line} out of range")
-    line = lines[idx]
-    masked = mask_regions(line)
-    m = _BY_TAIL_RE.search(masked)
-    if m:
-        new_line = line[: m.end(1)] + " sorry"
-    elif ":=" in masked:
-        at = masked.index(":=")
-        new_line = line[: at + 2] + " by sorry"
-    else:
-        indent = len(line) - len(line.lstrip())
-        new_line = " " * indent + "sorry"
-    lines[idx] = new_line
-    return _reparse(script, lines)
-
-
-def insert_sorry_after(
-    script: ProofScript, span: SourceSpan, indent: int | None = None
-) -> ProofScript:
-    """Insert a `sorry` line directly after span.end_line."""
-    lines = script.text.split("\n")
-    idx = span.end_line
-    if idx < 0 or idx > len(lines):
-        raise NodeNotFound(f"line {span.end_line} out of range")
-    if indent is None:
-        ref = lines[idx - 1] if 0 < idx <= len(lines) else ""
-        indent = len(ref) - len(ref.lstrip()) if ref.strip() else 2
-    lines.insert(idx, " " * indent + "sorry")
-    return _reparse(script, lines)
-
-
-def replace_span_text(script: ProofScript, span: SourceSpan, replacement: str) -> ProofScript:
-    """Replace the text covered by a single-line span, used to swap a
-    `sorry` token for a candidate tactic."""
-    if span.start_line != span.end_line:
-        raise NodeNotFound("only single-line spans can be replaced")
-    lines = script.text.split("\n")
-    idx = span.start_line - 1
-    if idx < 0 or idx >= len(lines):
-        raise NodeNotFound(f"line {span.start_line} out of range")
-    line = lines[idx]
-    lines[idx] = line[: span.start_col] + replacement + line[span.end_col :]
-    return _reparse(script, lines)
 
 
 def body_lines(script: ProofScript) -> list[str]:

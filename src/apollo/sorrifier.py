@@ -2,8 +2,10 @@
 
 The loop: compile with the pp-option preamble, take the first error by
 position, map it to the smallest enclosing block, apply one repair, repeat.
-Three repairs exist: drop a single bad line, collapse a block to
-`:= by sorry`, or insert a `sorry` where goals were left open.
+Four repairs exist: drop a single bad line, drop a block, collapse a block
+to `:= by sorry`, or insert a `sorry` where goals were left open.  Each is
+a replacement of a range of script lines, and this module decides the
+text it writes.
 """
 
 from __future__ import annotations
@@ -18,14 +20,9 @@ from .proofscript import (
     KIND_HAVE,
     KIND_TACTIC,
     ProofScript,
-    SourceSpan,
     TheoremStatement,
-    insert_sorry_after,
     mask_regions,
-    remove_block,
-    remove_line,
-    replace_block_with_sorry,
-    replace_line_with_sorry,
+    replace_lines,
     serialize,
 )
 from .repl import FAIL, CompileResult, Diagnostic, Position, SorryInfo
@@ -60,10 +57,16 @@ def pp_preamble() -> str:
 
 @dataclass
 class RepairAction:
+    """One repair: `replace_lines(script, first, last, lines)`.  `block` is
+    the `_node_key` of the block the repair is charged to in the attempt
+    history."""
+
     kind: str
-    target: tuple[int, ...] | SourceSpan
-    triggering_diagnostic: Diagnostic | None = None
-    indent: int | None = None  # for insert_sorry
+    first: int
+    last: int
+    lines: list[str]
+    block: tuple
+    triggering_diagnostic: Diagnostic
 
 
 @dataclass
@@ -77,17 +80,7 @@ class SorrifiedScript:
 
 
 def apply_action(script: ProofScript, action: RepairAction) -> ProofScript:
-    if action.kind == REMOVE_LINE:
-        return remove_line(script, action.target)
-    if action.kind == REMOVE_BLOCK:
-        return remove_block(script, action.target)
-    if action.kind == REPLACE_BLOCK_WITH_SORRY:
-        if isinstance(action.target, SourceSpan):
-            return replace_line_with_sorry(script, action.target)
-        return replace_block_with_sorry(script, action.target)
-    if action.kind == INSERT_SORRY:
-        return insert_sorry_after(script, action.target, action.indent)
-    raise SorrifyError(f"unknown repair action {action.kind!r}")
+    return replace_lines(script, action.first, action.last, action.lines)
 
 
 def replay_actions(script: ProofScript, actions: list[RepairAction]) -> ProofScript:
@@ -135,22 +128,51 @@ def _has_stated_goal(node) -> bool:
 _HAVE_LINE_RE = re.compile(r"have\s+\S+\s*:.*:=")
 
 
-def _is_sorryable_have_line(script: ProofScript, line: int) -> bool:
-    lines = serialize(script).split("\n")
-    if line - 1 >= len(lines):
-        return False
-    masked = mask_regions(lines[line - 1]).strip()
+def _is_sorryable_have_line(text: str) -> bool:
+    masked = mask_regions(text).strip()
     return bool(_HAVE_LINE_RE.match(masked)) and not masked.endswith("sorry")
 
 
-def _block_action(script, block_path, diag, history) -> RepairAction:
-    if block_path == ():
-        return RepairAction(REPLACE_BLOCK_WITH_SORRY, (), diag)
-    node = script.node(block_path)
-    done = history.get(_node_key(script, block_path), [])
-    if REPLACE_BLOCK_WITH_SORRY in done or not _has_stated_goal(node):
-        return RepairAction(REMOVE_BLOCK, block_path, diag)
-    return RepairAction(REPLACE_BLOCK_WITH_SORRY, block_path, diag)
+_BY_TAIL_RE = re.compile(r"(:=\s*by)\b")
+
+
+def _sorried_block(header: str) -> str:
+    """The one line a collapsed block becomes: a header carrying `:= by`
+    keeps everything through `by` and gains ` sorry`, a `=>`-style header
+    gains ` sorry`, and anything else becomes a bare `sorry`."""
+    masked = mask_regions(header)
+    m = _BY_TAIL_RE.search(masked)
+    if m:
+        return header[: m.end(1)] + " sorry"
+    if masked.rstrip().endswith("=>"):
+        return header.rstrip() + " sorry"
+    return " " * (len(header) - len(header.lstrip())) + "sorry"
+
+
+def _sorried_have(line: str) -> str:
+    """A one-line `have` with its proof sorried, through `:= by` or else
+    through `:=`, so the hypothesis it binds stays."""
+    masked = mask_regions(line)
+    m = _BY_TAIL_RE.search(masked)
+    if m:
+        return line[: m.end(1)] + " sorry"
+    return line[: masked.index(":=") + 2] + " by sorry"
+
+
+def _remove_line(script, line, block, diag) -> RepairAction:
+    """Drop one line; on the statement's own `by` line (an inline first
+    tactic) only the tactic after `by` goes."""
+    stmt = script.statement
+    kept = []
+    if line == (stmt.header + stmt.statement_text).count("\n") + 1:
+        kept = [stmt.statement_text.split("\n")[-1]]
+    return RepairAction(REMOVE_LINE, line, line, kept, block, diag)
+
+
+def _insertion(after: int, indent: int, block, diag) -> RepairAction:
+    """A `sorry` line at `indent`, inserted after line `after`."""
+    return RepairAction(INSERT_SORRY, after + 1, after, [" " * indent + "sorry"],
+                        block, diag)
 
 
 def _insert_action(script: ProofScript, diag: Diagnostic) -> RepairAction:
@@ -160,31 +182,33 @@ def _insert_action(script: ProofScript, diag: Diagnostic) -> RepairAction:
         hit = script.node_at_line(line)
         if hit is not None:
             path, node = hit
-            text_lines = serialize(script).split("\n")
-            line_text = text_lines[line - 1] if line - 1 < len(text_lines) else ""
+            block_path = _enclosing_block(script, path)
+            block = _node_key(script, block_path)
+            line_text = script.text.split("\n")[line - 1]
             if node.kind == KIND_TACTIC and ":= by" in mask_regions(line_text):
                 # an inline `have ... := by tac` left its goal open: the
                 # sorry continues that block on the next, deeper line
-                span = SourceSpan(line, 0, line, 0)
-                return RepairAction(INSERT_SORRY, span, diag, node.indent + 2)
-            path = _enclosing_block(script, path)
-            block = script.node(path) if path else script.root
-            indent = block.children[-1].indent if block.children else block.indent + 2
-            return RepairAction(INSERT_SORRY, block.span, diag, indent)
+                return _insertion(line, node.indent + 2, block, diag)
+            opener = script.node(block_path) if block_path else script.root
+            indent = opener.children[-1].indent if opener.children else opener.indent + 2
+            return _insertion(opener.span.end_line, indent, block, diag)
     # the statement's own `by` line: goals open at the end of the root block
     root = script.root
-    return RepairAction(INSERT_SORRY, root.span, diag, root.children[-1].indent)
+    return _insertion(root.span.end_line, root.children[-1].indent,
+                      _node_key(script, ()), diag)
 
 
 def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) -> RepairAction:
-    """Deterministic repair policy.
+    """Deterministic repair policy: the lines to replace and the text that
+    replaces them, charged to the block that encloses the error.
 
     Unsolved-goal messages insert a sorry at the end of the enclosing block.
     Other errors drop the offending line when its block can survive that,
     and otherwise collapse the block: `have`-style blocks with a stated goal
     become `:= by sorry` so later references stay valid, anonymous blocks
     are removed outright.  A block that was already line-repaired escalates
-    straight to collapse.
+    straight to collapse.  A one-line `have` is sorried in place rather
+    than dropped.
     """
     line = diag.pos.line
 
@@ -210,25 +234,30 @@ def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) 
             path, node = best, script.node(best)
 
     block_path = _enclosing_block(script, path)
-    done = attempt_history.get(_node_key(script, block_path), [])
+    block = _node_key(script, block_path)
+    done = attempt_history.get(block, [])
 
     if node.kind == KIND_TACTIC:
-        if _is_sorryable_have_line(script, line):
+        text = script.text.split("\n")[line - 1]
+        if _is_sorryable_have_line(text):
             # a one-line `have ... := by tac` binds a name later lines may
             # use: sorry its body rather than dropping the hypothesis
-            return RepairAction(REPLACE_BLOCK_WITH_SORRY,
-                                SourceSpan(line, 0, line, 0), diag)
+            return RepairAction(REPLACE_BLOCK_WITH_SORRY, line, line,
+                                [_sorried_have(text)], block, diag)
         if block_path == ():
             # lines directly under the root are dropped one at a time; an
             # emptied body parses back as a lone sorry
-            return RepairAction(REMOVE_LINE, SourceSpan(line, 0, line, 0), diag)
-        block = script.node(block_path)
-        survives = block.line_count() - 1 >= 2  # header plus one tactic
+            return _remove_line(script, line, block, diag)
+        survives = script.node(block_path).line_count() - 1 >= 2  # header plus one tactic
         if survives and REMOVE_LINE not in done:
-            return RepairAction(REMOVE_LINE, SourceSpan(line, 0, line, 0), diag)
-        return _block_action(script, block_path, diag, attempt_history)
+            return _remove_line(script, line, block, diag)
 
-    return _block_action(script, block_path, diag, attempt_history)
+    opener = script.node(block_path)
+    first, last = opener.span.start_line, opener.span.end_line
+    if REPLACE_BLOCK_WITH_SORRY in done or not _has_stated_goal(opener):
+        return RepairAction(REMOVE_BLOCK, first, last, [], block, diag)
+    return RepairAction(REPLACE_BLOCK_WITH_SORRY, first, last,
+                        [_sorried_block(opener.lines[0])], block, diag)
 
 
 _IMPORT_RE = re.compile(r"^\s*import\s")
@@ -320,14 +349,9 @@ def sorrify(script: ProofScript, session, config: RepairConfig | None = None) ->
             action = choose_repair(diag, script, history)
         except NoEnclosingNode:
             raise StatementMalformed([diag]) from None
-        if isinstance(action.target, tuple):
-            key = _node_key(script, action.target)
-        else:
-            hit = script.node_at_line(diag.pos.line)
-            key = _node_key(script, _enclosing_block(script, hit[0]) if hit else ())
-        history.setdefault(key, []).append(action.kind)
-        log.debug("sorrify: %s at %s for %r", action.kind, action.target,
-                  diag.message.splitlines()[0])
+        history.setdefault(action.block, []).append(action.kind)
+        log.debug("sorrify: %s at lines %d..%d for %r", action.kind, action.first,
+                  action.last, diag.message.splitlines()[0])
         script = apply_action(script, action)
         actions.append(action)
 

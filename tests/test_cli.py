@@ -26,13 +26,14 @@ def test_unexpected_error_fails_one_item_and_batch_goes_on(
     items = [by_name["thm_refine"], by_name["thm_r0"]]
     backend = _RaisesFor(MockBackend(mock_suite["llm"]), "thm_refine")
     out = tmp_path / "results.jsonl"
-    with caplog.at_level(logging.ERROR, logger="apollo.cli"):
+    with caplog.at_level(logging.ERROR, logger="apollo"):
         report = run(items, RepairConfig(max_depth_r=1, k_per_goal=4),
                      backend, suite_pool, out)
 
     first, second = report.records
     assert first["name"] == "thm_refine" and first["status"] == FAILED
     assert "backend blew up" in first["failure_reason"]
+    assert first["compiles"] == 1  # the statement probe
     assert second["name"] == "thm_r0" and second["status"] == PROVED
     written = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["name"] for r in written] == ["thm_refine", "thm_r0"]

@@ -375,6 +375,9 @@ def test_proof_length_examples(pool_332):
     assert proof_length(parse_script("theorem t : 1 = 1 := by rfl")) == 1
     assert proof_length(parse_script("theorem t : 1 = 1 := by\n  sorry")) == 1
     assert proof_length(parse_script("theorem t : 1 = 1 := by")) == 1
+    # a block comment over several lines counts for nothing
+    assert proof_length(parse_script(
+        "theorem t : 1 = 1 := by\n  /- a\n  b -/\n  rfl\n")) == 1
 
     initial = parse_script(
         (FIXTURES / "llm_332/mathd_algebra_332/000.lean")

@@ -18,46 +18,44 @@ def _info(goal, line=2, col=2):
 
 PARENT = parse_script(
     "theorem foo (x y : ℝ) (hx : 0 < x) : x ≠ 0 := by\n  sorry\n")
-SITE = SourceSpan(2, 2, 2, 7)
 
 
 def test_extract_basic_goal():
-    ctx = extract_goal(_info("x : ℝ\nhx : 0 < x\n⊢ x ≠ 0"), PARENT, SITE, 1)
+    ctx = extract_goal(_info("x : ℝ\nhx : 0 < x\n⊢ x ≠ 0"), PARENT, 1)
     assert ctx.hypotheses == (("x", "ℝ"), ("hx", "0 < x"))
     assert ctx.target == "x ≠ 0"
     assert ctx.fresh_name == "foo_sub1"
-    assert ctx.origin == ("foo", SITE)
 
 
 def test_extract_goal_with_no_hypotheses():
-    ctx = extract_goal(_info("⊢ True"), PARENT, SITE, 1)
+    ctx = extract_goal(_info("⊢ True"), PARENT, 1)
     assert ctx.hypotheses == ()
     assert ctx.target == "True"
 
 
 def test_extract_multi_binder_line_shares_type():
-    ctx = extract_goal(_info("a b : ℕ\n⊢ a + b = b + a"), PARENT, SITE, 1)
+    ctx = extract_goal(_info("a b : ℕ\n⊢ a + b = b + a"), PARENT, 1)
     assert ctx.hypotheses == (("a", "ℕ"), ("b", "ℕ"))
 
 
 def test_extract_wrapped_hypothesis_type_joined():
     goal = "h : 0 <\n  x\n⊢ x ≠ 0"
-    ctx = extract_goal(_info(goal), PARENT, SITE, 1)
+    ctx = extract_goal(_info(goal), PARENT, 1)
     assert ctx.hypotheses == (("h", "0 < x"),)
 
 
 def test_extract_rejects_metavariables():
     with pytest.raises(UnparseableGoal):
-        extract_goal(_info("x : ?α\n⊢ x = x"), PARENT, SITE, 1)
+        extract_goal(_info("x : ?α\n⊢ x = x"), PARENT, 1)
 
 
 def test_extract_rejects_multiple_turnstiles():
     with pytest.raises(UnparseableGoal):
-        extract_goal(_info("⊢ A\n⊢ B"), PARENT, SITE, 1)
+        extract_goal(_info("⊢ A\n⊢ B"), PARENT, 1)
 
 
 def test_extract_renames_inaccessible_names():
-    ctx = extract_goal(_info("x✝ : ℝ\nh : x✝ > 0\n⊢ x✝ ≠ 0"), PARENT, SITE, 1)
+    ctx = extract_goal(_info("x✝ : ℝ\nh : x✝ > 0\n⊢ x✝ ≠ 0"), PARENT, 1)
     names = [n for n, _ in ctx.hypotheses]
     assert all("✝" not in n for n in names)
     renamed = names[0]
@@ -68,19 +66,19 @@ def test_extract_renames_inaccessible_names():
 def test_fresh_name_avoids_collisions():
     parent = parse_script(
         "theorem foo : True := by\n  have foo_sub1 : True := trivial\n  sorry\n")
-    ctx = extract_goal(_info("⊢ True", line=3), parent, SourceSpan(3, 2, 3, 7), 1)
+    ctx = extract_goal(_info("⊢ True", line=3), parent, 1)
     assert ctx.fresh_name == "foo_sub1_1"
 
 
 def test_transform_renders_explicit_binders(plain_session):
-    ctx = extract_goal(_info("x : ℝ\nhx : 0 < x\n⊢ x ≠ 0"), PARENT, SITE, 1)
+    ctx = extract_goal(_info("x : ℝ\nhx : 0 < x\n⊢ x ≠ 0"), PARENT, 1)
     statement = transform_goal(ctx, plain_session)
     assert statement.statement_text == (
         "theorem foo_sub1 (x : ℝ) (hx : 0 < x) : x ≠ 0 := by")
 
 
 def test_transform_empty_context_closable(plain_session):
-    ctx = extract_goal(_info("⊢ True"), PARENT, SITE, 1)
+    ctx = extract_goal(_info("⊢ True"), PARENT, 1)
     statement = transform_goal(ctx, plain_session)
     assert statement.statement_text == "theorem foo_sub1 : True := by"
     result = plain_session.check(statement.statement_text + "\n  trivial")
@@ -90,14 +88,14 @@ def test_transform_empty_context_closable(plain_session):
 def test_transform_reproduces_annotated_types_verbatim(plain_session):
     ctx = extract_goal(
         _info("x : ℝ\nh : x = (2 : ℝ)\n⊢ x + (2 : ℝ) = (4 : ℝ)"),
-        PARENT, SITE, 1)
+        PARENT, 1)
     statement = transform_goal(ctx, plain_session)
     assert "(h : x = (2 : ℝ))" in statement.statement_text
     assert statement.statement_text.endswith(": x + (2 : ℝ) = (4 : ℝ) := by")
 
 
 def test_transform_rejected_when_statement_malformed(plain_session):
-    ctx = extract_goal(_info("hz : z > 0\n⊢ True"), PARENT, SITE, 1)
+    ctx = extract_goal(_info("hz : z > 0\n⊢ True"), PARENT, 1)
     with pytest.raises(StatementRejected):
         transform_goal(ctx, plain_session)
 
@@ -112,9 +110,7 @@ def test_extraction_round_trip_on_sorried_fixtures(plain_session):
     for source in sources:
         sorrified = sorrify(parse_script(source), plain_session)
         for ordinal, info in enumerate(sorrified.compile_result.sorries, 1):
-            line = info.pos.line  # sorrify reports script lines
-            span = SourceSpan(line, info.pos.column, line, info.end_pos.column)
-            ctx = extract_goal(info, sorrified.script, span, ordinal)
+            ctx = extract_goal(info, sorrified.script, ordinal)
             transform_goal(ctx, plain_session)  # validation is the oracle
 
 

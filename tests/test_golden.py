@@ -4,13 +4,15 @@ suite and the ablation matrix.
 `canonical()` holds the final text, the status, the audit trail and the
 ledger, including `repl_calls`, so a byte-equal match pins behaviour and
 compile count alike.  Each group runs on one fresh session in a fixed order.
+`wire.sha256` pins the code itself: the digest of every compile's code, as
+the REPL receives it, in the order sent.
 
-After a deliberate change of behaviour, regenerate the file with
+After a deliberate change of behaviour, regenerate both files with
     PYTHONPATH=src:tests python tests/test_golden.py
 """
 
+import hashlib
 import json
-import sys
 from pathlib import Path
 
 from apollo.config import RepairConfig
@@ -31,6 +33,7 @@ from conftest import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "canonical.json"
+WIRE = GOLDEN.parent / "wire.sha256"
 
 ABLATION_ITEMS = ["thm_r0", "thm_refine", "thm_auto", "thm_r1", "thm_fail"]
 
@@ -81,6 +84,38 @@ def documents(root: Path) -> dict[str, str]:
     return docs
 
 
+def recorded_documents(root: Path) -> tuple[dict[str, str], list[list[str]]]:
+    """`documents(root)` and the code of every compile, as the REPL receives
+    it, listed per apollo() call."""
+    sent: list[list[str]] = []
+    check, run = Session.check, apollo
+
+    def recording_check(self, code, *args, **kwargs):
+        sent[-1].append(normalize_code(code))
+        return check(self, code, *args, **kwargs)
+
+    def recording_apollo(*args, **kwargs):
+        sent.append([])
+        return run(*args, **kwargs)
+
+    Session.check = recording_check
+    globals()["apollo"] = recording_apollo
+    try:
+        return documents(root), sent
+    finally:
+        Session.check = check
+        globals()["apollo"] = run
+
+
+def wire_digest(sent: list[list[str]]) -> str:
+    """sha256 over every compiled code in order, each ended by a NUL."""
+    digest = hashlib.sha256()
+    for codes in sent:
+        for code in codes:
+            digest.update(code.encode("utf-8") + b"\0")
+    return digest.hexdigest()
+
+
 def render(docs: dict[str, str]) -> str:
     return json.dumps(docs, ensure_ascii=False, indent=1) + "\n"
 
@@ -95,35 +130,27 @@ def test_canonical_outcomes_byte_identical(tmp_path):
     assert render(docs) == GOLDEN.read_text(encoding="utf-8")
 
 
-def test_no_apollo_call_compiles_the_same_code_twice(tmp_path, monkeypatch):
+def test_no_apollo_call_compiles_the_same_code_twice(tmp_path):
     """Every compile happens once, at the one place that owns it: over the
-    48 runs no theorem sends the same code to the REPL twice."""
-    sent: list[list[str]] = []  # one list per apollo() call
-    check, run = Session.check, apollo
-
-    def recording_check(self, code, *args, **kwargs):
-        sent[-1].append(normalize_code(code))
-        return check(self, code, *args, **kwargs)
-
-    def recording_apollo(*args, **kwargs):
-        sent.append([])
-        return run(*args, **kwargs)
-
-    monkeypatch.setattr(Session, "check", recording_check)
-    monkeypatch.setattr(sys.modules[__name__], "apollo", recording_apollo)
-    docs = documents(tmp_path)
+    48 runs no theorem sends the same code to the REPL twice, and the code
+    sent is the pinned code."""
+    docs, sent = recorded_documents(tmp_path)
     assert len(sent) == len(docs) == 48
     repeats = {label: len(codes) - len(set(codes))
                for label, codes in zip(docs, sent)}
     assert {label: n for label, n in repeats.items() if n} == {}
     assert sum(map(len, sent)) == sum(
         json.loads(doc)["ledger"]["repl_calls"] for doc in docs.values())
+    assert wire_digest(sent) == WIRE.read_text(encoding="utf-8").strip()
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(render(documents(Path(scratch))), encoding="utf-8")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+        docs, sent = recorded_documents(Path(scratch))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(render(docs), encoding="utf-8")
+    WIRE.write_text(wire_digest(sent) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN} and {WIRE}", file=sys.stderr)

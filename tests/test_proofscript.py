@@ -6,17 +6,12 @@ from apollo.errors import NodeNotFound, NoProofBody, UnterminatedComment
 from apollo.proofscript import (
     KIND_HAVE,
     KIND_TACTIC,
-    SourceSpan,
     body_lines,
     count_sorries,
-    insert_sorry_after,
     mask_regions,
     normalize,
     parse_script,
-    remove_block,
-    remove_line,
-    replace_block_with_sorry,
-    replace_span_text,
+    replace_lines,
     serialize,
     statement_matches,
 )
@@ -121,29 +116,31 @@ def test_count_sorries_counts_admit():
     assert count_sorries(script) == 1
 
 
+def _remove_block(script, path):
+    node = script.node(path)
+    return replace_lines(script, node.span.start_line, node.span.end_line, [])
+
+
 def test_remove_block_drops_header_plus_body():
     script = parse_script(NESTED)
     before = script.root.line_count()
-    after = remove_block(script, (0,))
+    after = _remove_block(script, (0,))
     assert before - after.root.line_count() == 4  # header + 3 lines
 
 
-def test_remove_block_unknown_path():
+def test_replace_lines_out_of_range_raises():
+    script = parse_script(NESTED)  # 8 lines, then the empty tail after the last newline
+    for first, last in [(0, 0), (1, -1), (5, 3), (3, 10), (11, 10)]:
+        with pytest.raises(NodeNotFound):
+            replace_lines(script, first, last, ["  sorry"])
     with pytest.raises(NodeNotFound):
-        remove_block(parse_script(NESTED), (9, 9))
-
-
-def test_replace_block_with_sorry_keeps_stated_goal():
-    script = parse_script(NESTED)
-    out = replace_block_with_sorry(script, (0,))
-    assert "  have h4 : x ^ 2 >= 0 := by sorry" in serialize(out)
-    assert count_sorries(out) == count_sorries(script) + 1
+        script.node((9, 9))
 
 
 def test_remove_line_changes_only_that_line():
     script = parse_script(NESTED)
     target = script.node((0,)).children[0].span.start_line
-    out = remove_line(script, SourceSpan(target, 0, target, 0))
+    out = replace_lines(script, target, target, [])
     old = serialize(script).split("\n")
     new = serialize(out).split("\n")
     assert len(old) == len(new) + 1
@@ -153,20 +150,24 @@ def test_remove_line_changes_only_that_line():
 def test_edits_do_not_mutate_input():
     script = parse_script(NESTED)
     text_before = serialize(script)
-    remove_block(script, (0,))
-    insert_sorry_after(script, script.node((1,)).span)
+    _remove_block(script, (0,))
+    replace_lines(script, 9, 8, ["  sorry"])
+    replace_lines(script, 5, 5, ["    norm_num"])
     assert serialize(script) == text_before
 
 
 def test_insert_sorry_increments_count():
     script = parse_script(NESTED)
-    out = insert_sorry_after(script, script.node((1,)).span)
+    end = script.node((1,)).span.end_line
+    out = replace_lines(script, end + 1, end, ["  sorry"])  # inserts after `end`
     assert count_sorries(out) == count_sorries(script) + 1
+    old, new = serialize(script).split("\n"), serialize(out).split("\n")
+    assert new == old[:end] + ["  sorry"] + old[end:]
 
 
 def test_empty_body_serializes_with_lone_sorry(plain_session):
     script = parse_script(NESTED)
-    emptied = remove_block(remove_block(script, (1,)), (0,))
+    emptied = _remove_block(_remove_block(script, (1,)), (0,))
     text = serialize(emptied)
     assert text.rstrip().endswith("sorry")
     result = plain_session.check(text.replace("import Mathlib\n", ""))
@@ -196,8 +197,9 @@ def test_tree_indexes_text_on_corpus(path):
 
 def test_replace_span_text_swaps_sorry():
     script = parse_script("theorem t : 2 + 2 = 4 := by\n  sorry")
-    out = replace_span_text(script, SourceSpan(2, 2, 2, 7), "norm_num")
+    out = replace_lines(script, 2, 2, ["  norm_num"])
     assert serialize(out) == "theorem t : 2 + 2 = 4 := by\n  norm_num\n"
+    assert out.statement == script.statement
 
 
 def test_with_statement_and_matching():
@@ -210,7 +212,7 @@ def test_with_statement_and_matching():
 
 def test_tree_rebuilt_after_edit_satisfies_invariants():
     script = parse_script(NESTED)
-    out = replace_block_with_sorry(script, (0,))
+    out = replace_lines(script, 4, 7, ["  have h4 : x ^ 2 >= 0 := by sorry"])
     for path, node in out.walk():
         for child in node.children:
             assert child.span.start_line >= node.span.start_line

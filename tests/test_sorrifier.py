@@ -2,11 +2,21 @@ import pytest
 
 from apollo.errors import StatementMalformed, UnterminatedComment
 from apollo.proofscript import count_sorries, parse_script, serialize
-from apollo.repl import FAIL, PASS, PASS_WITH_SORRIES, Diagnostic, Position, classify
+from apollo.repl import (
+    FAIL,
+    PASS,
+    PASS_WITH_SORRIES,
+    Diagnostic,
+    Position,
+    classify,
+    start_session,
+)
 from apollo.sorrifier import (
     INSERT_SORRY,
+    REMOVE_BLOCK,
     REMOVE_LINE,
     REPLACE_BLOCK_WITH_SORRY,
+    apply_action,
     check_script,
     choose_repair,
     pp_preamble,
@@ -14,6 +24,7 @@ from apollo.sorrifier import (
     sorrify,
     validate_statement,
 )
+from conftest import corpus_scripts, fake_repl_cmd
 
 # Broken proofs the loop must always land in Pass / PassWithSorries.
 ADVERSARIAL = {
@@ -154,14 +165,35 @@ ADVERSARIAL = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ADVERSARIAL), ids=str)
-def test_sorrify_postcondition(name, plain_session):
-    source = ADVERSARIAL[name]
+# corpus files whose statement the fake REPL rejects: sorrify must refuse them
+CORPUS_MALFORMED = {"007_block_comment.lean", "016_decide.lean", "018_obtain.lean",
+                    "029_use_tactic.lean", "041_specialize.lean", "042_push_neg.lean",
+                    "043_have_with_binder_types.lean"}
+
+POSTCONDITION_INPUTS = (
+    [pytest.param(ADVERSARIAL[name], False, id=name) for name in sorted(ADVERSARIAL)]
+    + [pytest.param(path.read_text(encoding="utf-8"), path.name in CORPUS_MALFORMED,
+                    id=path.name) for path in corpus_scripts()])
+
+
+@pytest.fixture(scope="module")
+def module_session():
+    session = start_session(fake_repl_cmd())
+    yield session
+    session.close()
+
+
+@pytest.mark.parametrize("source,malformed", POSTCONDITION_INPUTS)
+def test_sorrify_postcondition(source, malformed, module_session):
     script = parse_script(source)
+    if malformed:
+        with pytest.raises(StatementMalformed):
+            sorrify(script, module_session)
+        return
     node_count = sum(1 for _ in script.walk())
     cap = 2 * script.root.line_count() + 8
 
-    out = sorrify(script, plain_session)
+    out = sorrify(script, module_session)
 
     assert out.compile_result.status in (PASS, PASS_WITH_SORRIES)
     assert len(out.actions) <= cap
@@ -208,11 +240,16 @@ def test_choose_repair_line_first_then_block():
     )
     history = {}
     first = choose_repair(_diag(3, "unknown tactic 'step_one'"), script, history)
-    assert first.kind == REMOVE_LINE and first.target.start_line == 3
+    assert first.kind == REMOVE_LINE
+    assert (first.first, first.last, first.lines) == (3, 3, [])
+    assert first.block == ("have h : 2 = 2 := by", 2, 0)
 
-    history[("have h : 2 = 2 := by", 2, 0)] = [REMOVE_LINE]
+    history[first.block] = [REMOVE_LINE]
     second = choose_repair(_diag(4, "unknown tactic 'step_two'"), script, history)
-    assert second.kind == REPLACE_BLOCK_WITH_SORRY and second.target == (0,)
+    assert second.kind == REPLACE_BLOCK_WITH_SORRY
+    assert (second.first, second.last) == (2, 5)  # the whole `have` block
+    assert second.lines == ["  have h : 2 = 2 := by sorry"]
+    assert second.block == first.block
 
 
 def test_choose_repair_unsolved_inserts_sorry():
@@ -226,7 +263,54 @@ def test_choose_repair_unsolved_inserts_sorry():
         Diagnostic("error", Position(2, 22), None, "unsolved goals\n⊢ 2 = 2"),
         script, {})
     assert action.kind == INSERT_SORRY
-    assert action.target.end_line == 3  # appended at the block's end
+    # inserted after line 3, the block's end, at its tactics' indent
+    assert (action.first, action.last, action.lines) == (4, 3, ["    sorry"])
+    assert action.block == ("have h : 2 = 2 := by", 2, 0)
+
+
+def test_replace_block_with_sorry_keeps_stated_goal():
+    script = parse_script(
+        "theorem demo (x : ℝ) (hx : 0 < x) : x ^ 2 + 1 > 0 := by\n"
+        "  have h4 : x ^ 2 >= 0 := by\n"
+        "    apply sq_nonneg\n"
+        "    all_goals norm_num\n"
+        "  nlinarith [h4]\n")
+    action = choose_repair(_diag(2, "type mismatch"), script, {})
+    out = apply_action(script, action)
+    assert action.kind == REPLACE_BLOCK_WITH_SORRY
+    assert serialize(out).split("\n")[1:3] == ["  have h4 : x ^ 2 >= 0 := by sorry",
+                                               "  nlinarith [h4]"]
+    assert count_sorries(out) == count_sorries(script) + 1
+
+
+# (text after the statement's `by`, error line, repair kind, and the lines
+# that replace the repaired range)
+SORRIED_FORMS = {
+    "block_by_tail": ("\n  have h : 1 = 1 := by  -- why\n    frob\n  rfl\n", 2,
+                      REPLACE_BLOCK_WITH_SORRY, ["  have h : 1 = 1 := by sorry"]),
+    "block_arrow": ("\n  have h : ∀ n : ℕ, n = n := fun n =>\n    frob\n  rfl\n", 2,
+                    REPLACE_BLOCK_WITH_SORRY,
+                    ["  have h : ∀ n : ℕ, n = n := fun n => sorry"]),
+    "block_bare": ("\n  have h : 1 = 1 := calc\n    frob\n  rfl\n", 2,
+                   REPLACE_BLOCK_WITH_SORRY, ["  sorry"]),
+    "block_without_goal": ("\n  constructor\n  case left =>\n    frob\n  rfl\n", 3,
+                           REMOVE_BLOCK, []),
+    "have_line_by": ("\n  have h : 1 = 1 := by frob\n  rfl\n", 2,
+                     REPLACE_BLOCK_WITH_SORRY, ["  have h : 1 = 1 := by sorry"]),
+    "have_line_term": ("\n  have h : 1 = 1 := frob  -- a := b\n  rfl\n", 2,
+                       REPLACE_BLOCK_WITH_SORRY, ["  have h : 1 = 1 := by sorry"]),
+    "root_line": ("\n  frob\n  rfl\n", 2, REMOVE_LINE, []),
+    "inline_tactic": (" frob\n", 1, REMOVE_LINE, ["theorem t : 1 = 1 := by"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SORRIED_FORMS), ids=str)
+def test_repair_writes_its_sorried_form(name):
+    body, line, kind, lines = SORRIED_FORMS[name]
+    script = parse_script("theorem t : 1 = 1 := by" + body)
+    action = choose_repair(_diag(line, "boom"), script, {})
+    assert (action.kind, action.lines) == (kind, lines)
+    assert action.first == line
 
 
 def test_choose_repair_statement_error_escalates(plain_session):
