@@ -2,10 +2,10 @@
 
 Each sorry site is attacked in position order: one `hint` probe, then a
 trial of each suggestion it returns in order, then a fixed suite of
-finishing tactics, then two-step combinations.  Each trial is one compile,
-and the first candidate that closes the site is committed: its trial
-compile shows strictly fewer sorries and no new errors, so a failing or
-timed-out candidate can never damage the script.
+finishing tactics, then two-step combinations.  Each trial is one compile
+of an edited text, never parsed, and the first candidate that closes the
+site is committed: its trial compile shows strictly fewer sorries and no
+new errors, so a failing or timed-out candidate can never damage the script.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .config import RepairConfig
-from .proofscript import ProofScript, SourceSpan, replace_lines, serialize
+from .proofscript import ProofScript, SourceSpan, parse_script, replace_lines
 from .repl import CompileResult
 from .sorrifier import SorrifiedScript, check_script
 
@@ -94,34 +94,33 @@ def parse_hint_suggestions(result: CompileResult) -> list[str]:
     return suggestions
 
 
-def _swap(script: ProofScript, span: SourceSpan, text: str) -> ProofScript:
-    """Replace the sorry token at the one-line `span` with `text`."""
-    line = script.text.split("\n")[span.start_line - 1]
-    return replace_lines(script, span.start_line, span.start_line,
-                         [line[: span.start_col] + text + line[span.end_col :]])
+def _swap(text: str, span: SourceSpan, tactic: str) -> str:
+    """`text` with the sorry token at the one-line `span` replaced by `tactic`."""
+    line = text.split("\n")[span.start_line - 1]
+    new_line = line[: span.start_col] + tactic + line[span.end_col :]
+    return replace_lines(text, [(span.start_line, span.start_line, [new_line])])
 
 
-def _trial(script: ProofScript, span: SourceSpan, text: str, session,
-           config: RepairConfig) -> tuple[ProofScript, CompileResult]:
-    candidate_script = _swap(script, span, text)
-    return candidate_script, check_script(serialize(candidate_script), session,
-                                          config.candidate_timeout, pp=True)
+def _trial(text: str, span: SourceSpan, tactic: str, session,
+           config: RepairConfig) -> tuple[str, CompileResult]:
+    trial = _swap(text, span, tactic)
+    return trial, check_script(trial, session, config.candidate_timeout, pp=True)
 
 
 def _closes(result: CompileResult, baseline_sorries: int) -> bool:
     return result.ok and not result.errors and len(result.sorries) < baseline_sorries
 
 
-def hint_candidates(script: ProofScript, span: SourceSpan, session,
+def hint_candidates(text: str, span: SourceSpan, session,
                     config: RepairConfig | None = None) -> list[TacticCandidate]:
-    """Run `hint` at the site, one compile, and return its suggestions in
-    order.  They are not validated here: `solve_sorries` trials each like
-    any other candidate, so a suggestion that only makes progress is
-    never committed."""
+    """Run `hint` at the site of the script `text`, one compile, and return
+    its suggestions in order.  They are not validated here: `solve_sorries`
+    trials each like any other candidate, so a suggestion that only makes
+    progress is never committed."""
     config = config or RepairConfig()
-    _, probe = _trial(script, span, "hint", session, config)
-    return [TacticCandidate(text, SOURCE_HINT)
-            for text in parse_hint_suggestions(probe)]
+    _, probe = _trial(text, span, "hint", session, config)
+    return [TacticCandidate(suggestion, SOURCE_HINT)
+            for suggestion in parse_hint_suggestions(probe)]
 
 
 def solve_sorries(s: SorrifiedScript, session,
@@ -129,12 +128,10 @@ def solve_sorries(s: SorrifiedScript, session,
     """Try to discharge every sorry: at each site, trial the `hint`
     suggestions and then the suite, one compile each, and commit the first
     that closes it.  Sites that resist all candidates stay sorried.  The
-    result still compiles Pass or PassWithSorries."""
+    text is parsed once, at the end, and only when something was committed.
+    The result still compiles Pass or PassWithSorries."""
     config = config or RepairConfig()
-    if not s.compile_result.sorries:
-        return SorrifiedScript(s.script, s.actions, s.compile_result, list(s.commits))
-
-    script = s.script
+    text = s.script.text
     result = s.compile_result
     commits: list[CommittedTactic] = list(s.commits)
     skipped = 0
@@ -150,21 +147,24 @@ def solve_sorries(s: SorrifiedScript, session,
         span = SourceSpan(site.pos.line, site.pos.column,
                           site.pos.line, site.end_pos.column)
 
-        candidates = hint_candidates(script, span, session, config)
+        candidates = hint_candidates(text, span, session, config)
         for cand in candidates + suite_candidates(config):
-            trial_script, trial_result = _trial(script, span, cand.text, session, config)
+            trial, trial_result = _trial(text, span, cand.text, session, config)
             if _closes(trial_result, len(sorries)):
                 log.debug("autosolver: %r closed site at line %d", cand.text, span.start_line)
-                script, result = trial_script, trial_result
+                text, result = trial, trial_result
                 commits.append(CommittedTactic(span, cand))
                 break
         else:
             skipped += 1
 
+    script = (parse_script(text, s.script.statement) if len(commits) > len(s.commits)
+              else s.script)
     return SorrifiedScript(script, s.actions, result, commits)
 
 
 def replay_commits(script: ProofScript, commits: list[CommittedTactic]) -> ProofScript:
+    text = script.text
     for commit in commits:
-        script = _swap(script, commit.span, commit.candidate.text)
-    return script
+        text = _swap(text, commit.span, commit.candidate.text)
+    return parse_script(text, script.statement)

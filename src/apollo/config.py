@@ -43,7 +43,6 @@ class BudgetLedger:
         self.samples_used = 0
         self.tokens_generated = 0
         self.repl_calls = 0
-        self.wall_time = 0.0
         self.module_triggers = {
             MODULE_SYNTAX_REFINER: 0,
             MODULE_AUTO_SOLVER: 0,
@@ -62,10 +61,6 @@ class BudgetLedger:
         with self._lock:
             self.repl_calls += n
 
-    def add_wall_time(self, seconds: float):
-        with self._lock:
-            self.wall_time += seconds
-
     def trigger(self, module: str, n: int = 1):
         with self._lock:
             self.module_triggers[module] += n
@@ -76,6 +71,5 @@ class BudgetLedger:
                 "samples_used": self.samples_used,
                 "tokens_generated": self.tokens_generated,
                 "repl_calls": self.repl_calls,
-                "wall_time": self.wall_time,
                 "module_triggers": dict(self.module_triggers),
             }

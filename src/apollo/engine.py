@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .autosolver import solve_sorries
 from .config import (
@@ -44,6 +44,7 @@ from .proofscript import (
     count_sorries,
     mask_regions,
     parse_script,
+    replace_lines,
     serialize,
     statement_matches,
 )
@@ -114,18 +115,15 @@ class Outcome:
     assisted: bool = False
 
     def canonical(self) -> str:
-        """Deterministic serialization: volatile fields (wall clock,
-        timestamps) excluded, so two runs over the same mocks compare
-        byte-identical."""
-        ledger = self.ledger.snapshot()
-        ledger.pop("wall_time", None)
+        """Deterministic serialization: audit timestamps excluded, so two
+        runs over the same mocks compare byte-identical."""
         doc = {
             "status": self.status,
             "final_text": serialize(self.final_script) if self.final_script else None,
             "proof_length": self.proof_length,
             "failure_reason": self.failure_reason,
             "assisted": self.assisted,
-            "ledger": ledger,
+            "ledger": self.ledger.snapshot(),
             "audit": [e.record(with_timestamp=False) for e in self.audit.events],
         }
         return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=0)
@@ -320,13 +318,16 @@ def assemble(parent: SorrifiedScript,
              sub_outcomes: list[tuple[SourceSpan | None, _FrameResult | None]]
              ) -> ProofScript:
     """Splice proved sub-proofs back in; unproved sites keep their sorry.
-    Splicing runs in reverse position order so earlier spans stay valid."""
-    script = parent.script
-    for span, sub in reversed(sub_outcomes):
-        if span is None or sub is None or sub.status != PROVED or sub.script is None:
-            continue
-        script = splice_subproof(script, span, sub.script)
-    return script
+    Every site's edit is taken against the parent text, and the edits
+    apply as one `replace_lines` call, parsed once; with no proved site
+    the parent script comes back as is."""
+    text = parent.script.text
+    edits = [splice_subproof(text, span, sub.script) for span, sub in sub_outcomes
+             if span is not None and sub is not None and sub.status == PROVED
+             and sub.script is not None]
+    if not edits:
+        return parent.script
+    return parse_script(replace_lines(text, edits), parent.script.statement)
 
 
 def _frame(run: _Run, session, statement: TheoremStatement, depth: int,
@@ -438,7 +439,6 @@ def apollo(statement: TheoremStatement, depth: int, config: RepairConfig,
 
         ledger.add_repl_calls(session.checks_issued - calls_before)
 
-    ledger.add_wall_time(time.monotonic() - run.started)
     length = proof_length(frame.script) if frame.status == PROVED else None
     return Outcome(
         status=frame.status,

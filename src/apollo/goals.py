@@ -19,7 +19,6 @@ from .proofscript import (
     TheoremStatement,
     body_lines,
     mask_regions,
-    replace_lines,
     serialize,
 )
 from .sorrifier import validate_statement
@@ -164,11 +163,13 @@ def _reindent(lines: list[str], target_indent: int) -> list[str]:
     return out
 
 
-def splice_subproof(parent: ProofScript, site: SourceSpan,
-                    sub: ProofScript) -> ProofScript:
-    """Replace the sorry at `site` with the proof body of `sub`, re-indented
-    under the site."""
-    lines = parent.text.split("\n")
+def splice_subproof(parent: str, site: SourceSpan,
+                    sub: ProofScript) -> tuple[int, int, list[str]]:
+    """The edit of the script text `parent` that replaces the sorry at
+    `site` with the proof body of `sub`, re-indented under the site: a
+    `replace_lines` range over the site's line.  SiteVanished when no
+    lone sorry ends that line of `parent`."""
+    lines = parent.split("\n")
     if not 0 < site.start_line <= len(lines):
         raise SiteVanished(f"line {site.start_line} out of range")
     line = lines[site.start_line - 1]
@@ -187,4 +188,4 @@ def splice_subproof(parent: ProofScript, site: SourceSpan,
         new_lines = [prefix.rstrip()] + _reindent(sub_body, line_indent + 2)
     else:
         new_lines = _reindent(sub_body, site.start_col)
-    return replace_lines(parent, site.start_line, site.start_line, new_lines)
+    return site.start_line, site.start_line, new_lines

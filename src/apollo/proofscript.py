@@ -3,9 +3,9 @@ indentation-nested tactic blocks.
 
 A script is its text, kept once with trailing whitespace normalized away.
 Parsing builds a tree over that text whose nesting mirrors indentation
-only; no attempt is made to understand the full Lean grammar.  Every edit
-is one `replace_lines`: it swaps a range of lines of the text and
-re-parses, so tree invariants hold by construction.
+only; no attempt is made to understand the full Lean grammar.  Edit the
+text; the caller parses what it keeps: every edit is one `replace_lines`
+call, which applies many line ranges to a text at once and returns text.
 """
 
 from __future__ import annotations
@@ -322,16 +322,21 @@ def count_sorries(script: ProofScript) -> int:
     return len(_SORRY_RE.findall(mask_regions(script.text)))
 
 
-def replace_lines(script: ProofScript, first: int, last: int,
-                  new_lines: list[str]) -> ProofScript:
-    """Replace lines `first..last` of the text (1-based, inclusive) with
-    `new_lines` and re-parse; `last == first - 1` inserts before line
-    `first`.  Returns a new script; NodeNotFound when out of range."""
-    lines = script.text.split("\n")
-    if not 1 <= first <= last + 1 <= len(lines) + 1:
-        raise NodeNotFound(f"lines {first}..{last} out of range")
-    lines[first - 1 : last] = new_lines
-    return parse_script("\n".join(lines), script.statement)
+def replace_lines(text: str, edits) -> str:
+    """Apply the `(first, last, new_lines)` edits to `text` at once and
+    return the new text.  Each replaces lines `first..last` of `text` as
+    given (1-based, inclusive) with `new_lines`; `last == first - 1`
+    inserts before line `first`.  Edits may come in any order and apply
+    bottom-up.  NodeNotFound when a range is out of range, or when two
+    share a line or insert at the same place."""
+    lines = text.split("\n")
+    bound, below = len(lines) + 1, None  # the first line and range of the edit below
+    for first, last, new_lines in sorted(edits, key=lambda e: e[:2], reverse=True):
+        if not 1 <= first <= last + 1 <= bound or (first, last) == below:
+            raise NodeNotFound(f"lines {first}..{last} out of range or overlapping")
+        lines[first - 1 : last] = new_lines
+        bound, below = first, (first, last)
+    return "\n".join(lines)
 
 
 def body_lines(script: ProofScript) -> list[str]:

@@ -13,7 +13,6 @@ import queue
 import shlex
 import subprocess
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -64,7 +63,6 @@ class CompileResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     sorries: list[SorryInfo] = field(default_factory=list)
     env_id: int | None = None
-    wall_time: float = 0.0
     raw: dict | None = field(default=None, repr=False)
 
     @property
@@ -230,26 +228,23 @@ class Session:
 
     def _roundtrip(self, code: str, timeout: float) -> CompileResult:
         """Send one request and wait for its response; no retry logic."""
-        started = time.monotonic()
         request = {"cmd": normalize_code(code)}
         if self._env is not None:
             request["env"] = self._env
         if not self._proc.send(json.dumps(request, ensure_ascii=False) + "\n\n"):
-            return CompileResult(REPL_CRASH, wall_time=time.monotonic() - started)
+            return CompileResult(REPL_CRASH)
         try:
             payload = self._proc.responses.get(timeout=timeout)
         except queue.Empty:
             self._drop()
-            return CompileResult(TIMEOUT, wall_time=time.monotonic() - started)
+            return CompileResult(TIMEOUT)
         try:
             reply = None if payload is None else json.loads(payload)
         except ValueError:
             reply = None  # undecodable: the caller kills the process
         if reply is None:
-            return CompileResult(REPL_CRASH, wall_time=time.monotonic() - started)
-        result = classify(reply)
-        result.wall_time = time.monotonic() - started
-        return result
+            return CompileResult(REPL_CRASH)
+        return classify(reply)
 
     def check(self, code: str, timeout: float = DEFAULT_TIMEOUT) -> CompileResult:
         """Compile `code` against the cached environment.

@@ -22,6 +22,7 @@ from .proofscript import (
     ProofScript,
     TheoremStatement,
     mask_regions,
+    parse_script,
     replace_lines,
     serialize,
 )
@@ -57,9 +58,9 @@ def pp_preamble() -> str:
 
 @dataclass
 class RepairAction:
-    """One repair: `replace_lines(script, first, last, lines)`.  `block` is
-    the `_node_key` of the block the repair is charged to in the attempt
-    history."""
+    """One repair: the `replace_lines` edit `(first, last, lines)` of the
+    script text.  `block` is the `_node_key` of the block the repair is
+    charged to in the attempt history."""
 
     kind: str
     first: int
@@ -80,7 +81,8 @@ class SorrifiedScript:
 
 
 def apply_action(script: ProofScript, action: RepairAction) -> ProofScript:
-    return replace_lines(script, action.first, action.last, action.lines)
+    edit = (action.first, action.last, action.lines)
+    return parse_script(replace_lines(script.text, [edit]), script.statement)
 
 
 def replay_actions(script: ProofScript, actions: list[RepairAction]) -> ProofScript:

@@ -61,6 +61,8 @@ _HAVE_RE = re.compile(r"^have\s+([^\s:]+)\s*:\s*(.*?):=\s*by\b(.*)$")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'.!?₀-₉]*")
 
 _COMPARERS = ["≤", "≥", "≠", "<=", ">=", "!=", "=", "<", ">"]
+_LEXEME_RE = re.compile(r'--[^\n]*|"(?:[^"\\]|\\.)*"?|/-', re.DOTALL)
+_COMMENT_MARK_RE = re.compile(r"/-|-/")
 
 
 def norm_text(s: str) -> str:
@@ -545,10 +547,13 @@ class FakeRepl:
         if "--#fake_crash" in cmd:
             os._exit(1)
 
+        cmd, comments_closed = _blank_block_comments(cmd)
         raw_lines = cmd.split("\n")
         pp_types = "set_option pp." in cmd
         state = TheoremState(pp_types, None, {})
         messages = []
+        if not comments_closed:
+            messages.append(_err(len(raw_lines), len(raw_lines[-1]), "unterminated comment"))
 
         i = 0
         n = len(raw_lines)
@@ -557,7 +562,7 @@ class FakeRepl:
             raw = raw_lines[i]
             stripped = raw.strip()
             line_no = i + 1
-            if not stripped or stripped.startswith("--") or stripped.startswith("/-"):
+            if not stripped or stripped.startswith("--"):
                 i += 1
                 continue
             if re.match(r"import\s", stripped):
@@ -632,6 +637,28 @@ class FakeRepl:
         self.env_counter += 1
         return {"env": self.env_counter - 1, "messages": messages,
                 "sorries": state.sorries}
+
+
+def _blank_block_comments(cmd: str) -> tuple[str, bool]:
+    """`cmd` with every `/- … -/` comment blanked to spaces, newlines kept,
+    and whether every comment closed.  As in Lean, block comments nest and
+    span lines, and a `/-` inside a `--` comment or a string opens none."""
+    out, kept, pos = [], 0, 0
+    while (m := _LEXEME_RE.search(cmd, pos)) is not None:
+        pos = m.end()
+        if m.group() != "/-":
+            continue  # a line comment or a string literal, read past
+        depth = 1
+        while depth and (mark := _COMMENT_MARK_RE.search(cmd, pos)) is not None:
+            depth += 1 if mark.group() == "/-" else -1
+            pos = mark.end()
+        if depth:
+            pos = len(cmd)
+        out += [cmd[kept : m.start()], re.sub(r"[^\n]", " ", cmd[m.start() : pos])]
+        kept = pos
+        if depth:
+            return "".join(out), False
+    return "".join(out) + cmd[kept:], True
 
 
 def _top_level(line: str, at: int) -> bool:

@@ -1,11 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from apollo.config import RepairConfig
 from apollo.autosolver import (
     DEFAULT_SUITE,
-    CommittedTactic,
     hint_candidates,
     load_suite,
     parse_hint_suggestions,
@@ -13,6 +13,7 @@ from apollo.autosolver import (
     solve_sorries,
     suite_candidates,
 )
+from apollo import proofscript
 from apollo.proofscript import (
     SourceSpan,
     count_sorries,
@@ -20,7 +21,7 @@ from apollo.proofscript import (
     serialize,
 )
 from apollo.repl import PASS, PASS_WITH_SORRIES, start_session
-from apollo.sorrifier import SorrifiedScript, sorrify
+from apollo.sorrifier import sorrify
 from conftest import fake_repl_cmd
 
 RULES = {
@@ -99,7 +100,7 @@ def test_hint_suggestion_validated_and_filtered(session):
     src = "theorem t : 1 = 1 := by\n  have h : G2 := by\n    sorry\n  rfl\n"
     sorrified = _sorrified(src, session)
     span = _first_site(sorrified)
-    suggestions = hint_candidates(sorrified.script, span, session)
+    suggestions = hint_candidates(sorrified.script.text, span, session)
     assert [(c.text, c.source) for c in suggestions] == [
         ("simp only [foo]", "hint"), ("gcongr", "hint")]  # as returned, unvalidated
 
@@ -116,7 +117,7 @@ def test_hint_failure_yields_empty_list(session):
     sorrified = _sorrified(src, session)
     span = _first_site(sorrified)
     before = session.checks_issued
-    assert hint_candidates(sorrified.script, span, session) == []
+    assert hint_candidates(sorrified.script.text, span, session) == []
     assert session.checks_issued - before == 1
 
 
@@ -178,6 +179,38 @@ def test_commit_replay_reproduces_output(session):
     assert len(out.commits) == 2
     replayed = replay_commits(before.script, out.commits)
     assert serialize(replayed) == serialize(out.script)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Every `parse_script` call made through any `apollo` module that
+    bound the name, appended as it happens."""
+    calls = []
+    original = proofscript.parse_script
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "apollo":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("src,commits,parses", [
+    ("theorem t : 1 = 1 := by\n  have a : 2 + 2 = 4 := by\n    sorry\n"
+     "  have b : G1 := by\n    sorry\n  rfl\n", 2, 1),
+    ("theorem t : 1 = 1 := by\n  have h : G3 := by\n    sorry\n  rfl\n", 0, 0),
+], ids=["commits", "nothing_closes"])
+def test_only_the_kept_text_is_parsed(session, parse_calls, src, commits, parses):
+    before = _sorrified(src, session)
+    del parse_calls[:]
+    out = solve_sorries(before, session)
+    assert len(out.commits) == commits
+    assert len(parse_calls) == parses  # never a trial, once for a commit
 
 
 def test_parse_hint_suggestions_formats():

@@ -1,6 +1,7 @@
 """The benchmark wraps and calls program names by string; a rename or
 deletion there would only show when `bench/run.py` runs.  These checks read
-the benchmark's own tables and fail as soon as one of its names is gone."""
+the benchmark's own tables and fail as soon as one of its names is gone,
+and one traced run checks that its hooks still count what they name."""
 
 import importlib
 import importlib.util
@@ -8,6 +9,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from conftest import FIXTURES, HEADER_332, STATEMENT_332
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -51,3 +54,30 @@ def test_run_py_bindings_resolve():
     inspect.signature(MockBackend).bind("fixture_dir")
     inspect.signature(RepairConfig).bind(max_depth_r=1, k_per_goal=4)
     assert callable(FakeRepl) and callable(RuleTable.load)
+
+
+def test_traced_worked_example_counts(pool_332, tmp_path):
+    from apollo import cli
+    from apollo.config import RepairConfig
+    from apollo.llm import MockBackend
+    from apollo.proofscript import TheoremStatement
+
+    statement = TheoremStatement("mathd_algebra_332", HEADER_332, STATEMENT_332)
+    tracer = tracing.Tracer(tmp_path / "trace.jsonl")
+    with pool_332.lease() as session:
+        before = session.checks_issued
+    tracer.install()
+    try:
+        outcome = cli.apollo(statement, 0, RepairConfig(max_depth_r=1, k_per_goal=32),
+                             MockBackend(FIXTURES / "llm_332"), pool_332)
+    finally:
+        tracer.uninstall()
+    with pool_332.lease() as session:
+        compiles = session.checks_issued - before
+
+    assert outcome.status == "proved" and outcome.ledger.repl_calls == compiles
+    metrics = tracer.metrics()
+    assert sum(v for k, v in metrics.items() if k.startswith("repl.compiles.")) == compiles
+    assert metrics["autosolver.sites"] == metrics["repl.compiles.hint"]
+    assert metrics["goals.splices"] == 2
+    assert metrics["sorrifier.repairs"] == 6

@@ -453,6 +453,29 @@ def test_unterminated_comment_candidate_is_skipped(mock_suite, tmp_path):
         pool.close()
 
 
+def test_block_comment_in_a_candidate_body_is_proved_as_generated(mock_suite, tmp_path):
+    candidate = ("theorem thm_r1 : P1 := by\n"
+                 "  have a1 : Q1 := by\n"
+                 "    /- the witness\n"
+                 "       from the rule table -/\n"
+                 "    exact q1_witness\n"
+                 "  exact p1_of_q1 a1\n")
+    write_llm_fixtures(tmp_path / "llm", {"thm_r1": candidate})
+    pool = SessionPool.build(
+        lambda: start_session(fake_repl_cmd(mock_suite["rules"])), 1)
+    try:
+        outcome = apollo(suite_statement("thm_r1"), 0,
+                         RepairConfig(max_depth_r=0, k_per_goal=1),
+                         MockBackend(tmp_path / "llm"), pool)
+    finally:
+        pool.close()
+    assert outcome.status == PROVED and not outcome.assisted
+    assert "candidate_pass" in [e.action for e in outcome.audit.events]
+    assert serialize(outcome.final_script) == candidate
+    assert outcome.proof_length == 3  # the have and two exacts; the comment counts for nothing
+    assert outcome.ledger.repl_calls == 2  # the statement probe and the candidate
+
+
 def test_runaway_refiner_rule_leaves_the_candidate_unrefined(mock_suite, tmp_path):
     # candidate 0 fails and the one rule never reaches a fixpoint on it; the
     # theorem must not fail with it, since candidate 1 proves it as generated

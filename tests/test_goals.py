@@ -6,6 +6,7 @@ from apollo.proofscript import (
     SourceSpan,
     count_sorries,
     parse_script,
+    replace_lines,
     serialize,
 )
 from apollo.repl import PASS, Position, SorryInfo
@@ -114,6 +115,10 @@ def test_extraction_round_trip_on_sorried_fixtures(plain_session):
             transform_goal(ctx, plain_session)  # validation is the oracle
 
 
+def _splice(parent, site, sub):
+    return replace_lines(parent.text, [splice_subproof(parent.text, site, sub)])
+
+
 def test_splice_inline_reindents_under_assignment():
     parent = parse_script(
         "theorem t : 1 = 1 := by\n"
@@ -121,8 +126,9 @@ def test_splice_inline_reindents_under_assignment():
         "  rfl\n")
     sub = parse_script("theorem t_sub1 : 2 + 2 = 4 := by\n  norm_num\n")
     col = serialize(parent).split("\n")[1].index("sorry")
-    out = splice_subproof(parent, SourceSpan(2, col, 2, col + 5), sub)
-    assert serialize(out) == (
+    edit = splice_subproof(parent.text, SourceSpan(2, col, 2, col + 5), sub)
+    assert edit == (2, 2, ["  have h : 2 + 2 = 4 := by", "    norm_num"])
+    assert _splice(parent, SourceSpan(2, col, 2, col + 5), sub) == (
         "theorem t : 1 = 1 := by\n"
         "  have h : 2 + 2 = 4 := by\n"
         "    norm_num\n"
@@ -138,7 +144,7 @@ def test_splice_changes_nothing_outside_site():
     sub = parse_script("theorem t_sub1 : 2 + 2 = 4 := by\n  norm_num\n")
     before = serialize(parent).split("\n")
     col = before[3].index("sorry")
-    after = serialize(splice_subproof(parent, SourceSpan(4, col, 4, col + 5), sub)).split("\n")
+    after = _splice(parent, SourceSpan(4, col, 4, col + 5), sub).split("\n")
     assert after[:3] == before[:3]
     assert after[-2:] == before[-2:]
 
@@ -147,7 +153,7 @@ def test_splice_into_zero_sorry_parent_raises():
     parent = parse_script("theorem t : 1 = 1 := by\n  rfl\n")
     sub = parse_script("theorem t_sub1 : 1 = 1 := by\n  rfl\n")
     with pytest.raises(SiteVanished):
-        splice_subproof(parent, SourceSpan(2, 2, 2, 7), sub)
+        splice_subproof(parent.text, SourceSpan(2, 2, 2, 7), sub)
 
 
 def test_two_sorries_spliced_in_position_order(plain_session):
@@ -161,7 +167,9 @@ def test_two_sorries_spliced_in_position_order(plain_session):
     lines = serialize(parent).split("\n")
     col_b = lines[2].index("sorry")
     col_a = lines[1].index("sorry")
-    out = splice_subproof(parent, SourceSpan(3, col_b, 3, col_b + 5), sub_b)
-    out = splice_subproof(out, SourceSpan(2, col_a, 2, col_a + 5), sub_a)
-    assert count_sorries(out) == 0
-    assert plain_session.check(serialize(out)).status == PASS
+    edits = [splice_subproof(parent.text, SourceSpan(2, col_a, 2, col_a + 5), sub_a),
+             splice_subproof(parent.text, SourceSpan(3, col_b, 3, col_b + 5), sub_b)]
+    out = replace_lines(parent.text, edits)
+    assert replace_lines(parent.text, edits[::-1]) == out
+    assert count_sorries(parse_script(out)) == 0
+    assert plain_session.check(out).status == PASS

@@ -118,7 +118,8 @@ def test_count_sorries_counts_admit():
 
 def _remove_block(script, path):
     node = script.node(path)
-    return replace_lines(script, node.span.start_line, node.span.end_line, [])
+    edit = (node.span.start_line, node.span.end_line, [])
+    return parse_script(replace_lines(script.text, [edit]))
 
 
 def test_remove_block_drops_header_plus_body():
@@ -132,17 +133,37 @@ def test_replace_lines_out_of_range_raises():
     script = parse_script(NESTED)  # 8 lines, then the empty tail after the last newline
     for first, last in [(0, 0), (1, -1), (5, 3), (3, 10), (11, 10)]:
         with pytest.raises(NodeNotFound):
-            replace_lines(script, first, last, ["  sorry"])
+            replace_lines(script.text, [(first, last, ["  sorry"])])
+        with pytest.raises(NodeNotFound):  # also beside an edit that is in range
+            replace_lines(script.text, [(1, 1, ["x"]), (first, last, ["  sorry"])])
     with pytest.raises(NodeNotFound):
         script.node((9, 9))
+
+
+@pytest.mark.parametrize("edits", [
+    [(2, 3, []), (3, 4, [])],  # share line 3
+    [(2, 4, []), (3, 3, ["x"])],  # one inside the other
+    [(5, 5, ["x"]), (5, 5, ["y"])],  # the same line twice
+    [(4, 3, ["x"]), (4, 3, ["y"])],  # two inserts at one place
+    [(2, 4, []), (4, 3, ["x"])],  # an insert inside a replaced range
+])
+def test_replace_lines_overlap_raises(edits):
+    with pytest.raises(NodeNotFound):
+        replace_lines(NESTED, edits)
+    with pytest.raises(NodeNotFound):
+        replace_lines(NESTED, edits[::-1])
+
+
+def test_replace_lines_with_no_edits_returns_text():
+    assert replace_lines(NESTED, []) == NESTED
 
 
 def test_remove_line_changes_only_that_line():
     script = parse_script(NESTED)
     target = script.node((0,)).children[0].span.start_line
-    out = replace_lines(script, target, target, [])
+    out = replace_lines(script.text, [(target, target, [])])
     old = serialize(script).split("\n")
-    new = serialize(out).split("\n")
+    new = out.split("\n")
     assert len(old) == len(new) + 1
     assert new == old[: target - 1] + old[target:]
 
@@ -150,18 +171,20 @@ def test_remove_line_changes_only_that_line():
 def test_edits_do_not_mutate_input():
     script = parse_script(NESTED)
     text_before = serialize(script)
+    edits = [(9, 8, ["  sorry"]), (5, 5, ["    norm_num"]), (2, 2, [])]
+    edits_before = [(first, last, list(lines)) for first, last, lines in edits]
     _remove_block(script, (0,))
-    replace_lines(script, 9, 8, ["  sorry"])
-    replace_lines(script, 5, 5, ["    norm_num"])
+    replace_lines(script.text, edits)
     assert serialize(script) == text_before
+    assert edits == edits_before
 
 
 def test_insert_sorry_increments_count():
     script = parse_script(NESTED)
     end = script.node((1,)).span.end_line
-    out = replace_lines(script, end + 1, end, ["  sorry"])  # inserts after `end`
-    assert count_sorries(out) == count_sorries(script) + 1
-    old, new = serialize(script).split("\n"), serialize(out).split("\n")
+    out = replace_lines(script.text, [(end + 1, end, ["  sorry"])])  # inserts after `end`
+    assert count_sorries(parse_script(out)) == count_sorries(script) + 1
+    old, new = serialize(script).split("\n"), out.split("\n")
     assert new == old[:end] + ["  sorry"] + old[end:]
 
 
@@ -197,9 +220,9 @@ def test_tree_indexes_text_on_corpus(path):
 
 def test_replace_span_text_swaps_sorry():
     script = parse_script("theorem t : 2 + 2 = 4 := by\n  sorry")
-    out = replace_lines(script, 2, 2, ["  norm_num"])
-    assert serialize(out) == "theorem t : 2 + 2 = 4 := by\n  norm_num\n"
-    assert out.statement == script.statement
+    out = replace_lines(script.text, [(2, 2, ["  norm_num"])])
+    assert out == "theorem t : 2 + 2 = 4 := by\n  norm_num\n"
+    assert parse_script(out, script.statement).statement == script.statement
 
 
 def test_with_statement_and_matching():
@@ -212,7 +235,7 @@ def test_with_statement_and_matching():
 
 def test_tree_rebuilt_after_edit_satisfies_invariants():
     script = parse_script(NESTED)
-    out = replace_lines(script, 4, 7, ["  have h4 : x ^ 2 >= 0 := by sorry"])
+    out = parse_script(replace_lines(script.text, [(4, 7, ["  have h4 : x ^ 2 >= 0 := by sorry"])]))
     for path, node in out.walk():
         for child in node.children:
             assert child.span.start_line >= node.span.start_line
@@ -262,3 +285,36 @@ def test_round_trip_on_random_indent_trees(source):
 @given(random_proof())
 def test_tree_indexes_text_on_random_indent_trees(source):
     assert_tree_indexes_text(parse_script(source))
+
+
+_NEW_LINES = st.lists(st.sampled_from(["", "  sorry", "  norm_num", "x"]), max_size=3)
+
+
+@st.composite
+def disjoint_edits(draw):
+    """A text of numbered lines and non-overlapping edits over it, listed
+    in random order: inserts, and replacements of one or more lines."""
+    text = "\n".join(f"line {no}" for no in range(1, draw(st.integers(1, 10)) + 1)) + "\n"
+    count = text.count("\n") + 1  # the empty tail after the last newline is a line too
+    edits, line = [], 1
+    while line <= count + 1:
+        choice = draw(st.integers(0, 2))
+        if choice == 1:
+            edits.append((line, line - 1, draw(_NEW_LINES)))
+        elif choice == 2 and line <= count:
+            last = draw(st.integers(line, count))
+            edits.append((line, last, draw(_NEW_LINES)))
+            line = last
+        line += 1
+    return text, draw(st.permutations(edits))
+
+
+@settings(max_examples=100, deadline=None)
+@given(disjoint_edits())
+def test_replace_lines_at_once_equals_one_at_a_time_bottom_up(case):
+    text, edits = case
+    lines = text.split("\n")
+    for first, last, new_lines in sorted(edits, key=lambda e: e[:2], reverse=True):
+        lines[first - 1 : last] = new_lines
+    assert replace_lines(text, edits) == "\n".join(lines)
+    assert replace_lines(text, edits[::-1]) == "\n".join(lines)

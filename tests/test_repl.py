@@ -67,6 +67,34 @@ def test_import_after_code_is_rejected_as_in_lean(plain_session):
     assert plain_session.check(leading).status == PASS
 
 
+@pytest.mark.parametrize("code", [
+    "theorem t : 1 = 1 := by\n  /- a -/\n  rfl",
+    "theorem t : 1 = 1 := by\n  /- a\n  b -/\n  rfl",
+    "/- a\nb -/\ntheorem t : 1 = 1 := by\n  rfl",
+    "/- a /- nested\n-/ still a comment -/\ntheorem t : 1 = 1 := by\n  rfl",
+    "theorem t : 1 = 1 := by\n  rfl /- after a tactic -/",
+], ids=["one_line_in_body", "multi_line_in_body", "multi_line_before",
+        "nested_before", "after_tactic"])
+def test_block_comments_read_as_in_lean(plain_session, code):
+    assert plain_session.check(code).status == PASS
+
+
+def test_block_comment_does_not_open_inside_a_string(plain_session):
+    code = 'theorem t : "/-" = "/-" := by\n  rfl\ntheorem u : 1 = 1 := by\n  rfl'
+    assert plain_session.check(code).status == PASS
+
+
+def test_unterminated_block_comment_fails(plain_session):
+    result = plain_session.check("/- a\ntheorem t : 1 = 1 := by\n  rfl")
+    assert result.status == FAIL
+    assert "unterminated comment" in result.errors[0].message
+
+
+def test_block_comment_keeps_positions(plain_session):
+    result = plain_session.check("theorem t : 1 = 1 := by\n  /- a\n  b -/\n  foo_bar")
+    assert [(e.pos.line, e.pos.column) for e in result.errors] == [(4, 2)]
+
+
 def test_unknown_import_header():
     with pytest.raises(HeaderFailed) as excinfo:
         start_session(fake_repl_cmd(), import_header="import NoSuchModule")

@@ -166,8 +166,8 @@ ADVERSARIAL = {
 
 
 # corpus files whose statement the fake REPL rejects: sorrify must refuse them
-CORPUS_MALFORMED = {"007_block_comment.lean", "016_decide.lean", "018_obtain.lean",
-                    "029_use_tactic.lean", "041_specialize.lean", "042_push_neg.lean",
+CORPUS_MALFORMED = {"016_decide.lean", "018_obtain.lean", "029_use_tactic.lean",
+                    "041_specialize.lean", "042_push_neg.lean",
                     "043_have_with_binder_types.lean"}
 
 POSTCONDITION_INPUTS = (
