@@ -1,11 +1,12 @@
 """Close sorry placeholders with Lean's own automation.
 
-Each sorry site is attacked in position order: one `hint` probe, then a
-trial of each suggestion it returns in order, then a fixed suite of
-finishing tactics, then two-step combinations.  Each trial is one compile
-of an edited text, never parsed, and the first candidate that closes the
-site is committed: its trial compile shows strictly fewer sorries and no
-new errors, so a failing or timed-out candidate can never damage the script.
+The sites are the sorries of `check_script`, in position order, and each is
+attacked in turn: one `hint` probe, then a trial of each suggestion it
+returns in order, then a fixed suite of finishing tactics, then two-step
+combinations.  Each trial is one compile of an edited text, never parsed,
+and the first candidate that closes the site is committed: its trial compile
+shows strictly fewer sorries and no new errors, so a failing or timed-out
+candidate can never damage the script.
 """
 
 from __future__ import annotations
@@ -15,15 +16,11 @@ import re
 from dataclasses import dataclass
 
 from .config import RepairConfig
-from .proofscript import ProofScript, SourceSpan, parse_script, replace_lines
-from .repl import CompileResult
+from .proofscript import ProofScript, parse_script, replace_lines
+from .repl import CompileResult, SorryInfo
 from .sorrifier import SorrifiedScript, check_script
 
 log = logging.getLogger(__name__)
-
-SOURCE_HINT = "hint"
-SOURCE_SUITE = "suite"
-SOURCE_COMBINATION = "combination"
 
 DEFAULT_SUITE = [
     "norm_num",
@@ -44,15 +41,9 @@ _TRY_THESE_RE = re.compile(r"Try (?:these:|this:)\s*(.*)", re.DOTALL)
 
 
 @dataclass(frozen=True)
-class TacticCandidate:
-    text: str
-    source: str
-
-
-@dataclass(frozen=True)
 class CommittedTactic:
-    span: SourceSpan  # the sorry token replaced, in script coordinates
-    candidate: TacticCandidate
+    site: SorryInfo  # the sorry token replaced, in script lines
+    tactic: str
 
 
 def load_suite(path) -> list[str]:
@@ -66,16 +57,14 @@ def load_suite(path) -> list[str]:
     return out
 
 
-def suite_candidates(config: RepairConfig | None = None) -> list[TacticCandidate]:
+def suite_candidates(config: RepairConfig | None = None) -> list[str]:
     """The finishing-tactic ladder: singles in suite order, then the
     `first <;> second` combinations of the first four singles with each of
     linarith, nlinarith and ring_nf (at most 12)."""
     config = config or RepairConfig()
     singles = load_suite(config.suite_path) if config.suite_path else list(DEFAULT_SUITE)
-    candidates = [TacticCandidate(text, SOURCE_SUITE) for text in singles]
-    candidates.extend(TacticCandidate(f"{first} <;> {second}", SOURCE_COMBINATION)
-                      for first in singles[:4] for second in _COMBO_SECONDS)
-    return candidates
+    return singles + [f"{first} <;> {second}"
+                      for first in singles[:4] for second in _COMBO_SECONDS]
 
 
 def parse_hint_suggestions(result: CompileResult) -> list[str]:
@@ -94,16 +83,16 @@ def parse_hint_suggestions(result: CompileResult) -> list[str]:
     return suggestions
 
 
-def _swap(text: str, span: SourceSpan, tactic: str) -> str:
-    """`text` with the sorry token at the one-line `span` replaced by `tactic`."""
-    line = text.split("\n")[span.start_line - 1]
-    new_line = line[: span.start_col] + tactic + line[span.end_col :]
-    return replace_lines(text, [(span.start_line, span.start_line, [new_line])])
+def _swap(text: str, site: SorryInfo, tactic: str) -> str:
+    """`text` with the sorry token at `site`, on one line, replaced by `tactic`."""
+    line = text.split("\n")[site.pos.line - 1]
+    new_line = line[: site.pos.column] + tactic + line[site.end_pos.column :]
+    return replace_lines(text, [(site.pos.line, site.pos.line, [new_line])])
 
 
-def _trial(text: str, span: SourceSpan, tactic: str, session,
+def _trial(text: str, site: SorryInfo, tactic: str, session,
            config: RepairConfig) -> tuple[str, CompileResult]:
-    trial = _swap(text, span, tactic)
+    trial = _swap(text, site, tactic)
     return trial, check_script(trial, session, config.candidate_timeout, pp=True)
 
 
@@ -111,16 +100,15 @@ def _closes(result: CompileResult, baseline_sorries: int) -> bool:
     return result.ok and not result.errors and len(result.sorries) < baseline_sorries
 
 
-def hint_candidates(text: str, span: SourceSpan, session,
-                    config: RepairConfig | None = None) -> list[TacticCandidate]:
+def hint_candidates(text: str, site: SorryInfo, session,
+                    config: RepairConfig | None = None) -> list[str]:
     """Run `hint` at the site of the script `text`, one compile, and return
     its suggestions in order.  They are not validated here: `solve_sorries`
     trials each like any other candidate, so a suggestion that only makes
     progress is never committed."""
     config = config or RepairConfig()
-    _, probe = _trial(text, span, "hint", session, config)
-    return [TacticCandidate(suggestion, SOURCE_HINT)
-            for suggestion in parse_hint_suggestions(probe)]
+    _, probe = _trial(text, site, "hint", session, config)
+    return parse_hint_suggestions(probe)
 
 
 def solve_sorries(s: SorrifiedScript, session,
@@ -136,24 +124,14 @@ def solve_sorries(s: SorrifiedScript, session,
     commits: list[CommittedTactic] = list(s.commits)
     skipped = 0
 
-    while True:
-        sorries = sorted(result.sorries, key=lambda x: (x.pos.line, x.pos.column))
-        if skipped >= len(sorries):
-            break
-        site = sorries[skipped]
-        if site.pos.line == 0:
-            skipped += 1
-            continue
-        span = SourceSpan(site.pos.line, site.pos.column,
-                          site.pos.line, site.end_pos.column)
-
-        candidates = hint_candidates(text, span, session, config)
-        for cand in candidates + suite_candidates(config):
-            trial, trial_result = _trial(text, span, cand.text, session, config)
-            if _closes(trial_result, len(sorries)):
-                log.debug("autosolver: %r closed site at line %d", cand.text, span.start_line)
+    while skipped < len(result.sorries):
+        site = result.sorries[skipped]
+        for tactic in hint_candidates(text, site, session, config) + suite_candidates(config):
+            trial, trial_result = _trial(text, site, tactic, session, config)
+            if _closes(trial_result, len(result.sorries)):
+                log.debug("autosolver: %r closed site at line %d", tactic, site.pos.line)
                 text, result = trial, trial_result
-                commits.append(CommittedTactic(span, cand))
+                commits.append(CommittedTactic(site, tactic))
                 break
         else:
             skipped += 1
@@ -166,5 +144,5 @@ def solve_sorries(s: SorrifiedScript, session,
 def replay_commits(script: ProofScript, commits: list[CommittedTactic]) -> ProofScript:
     text = script.text
     for commit in commits:
-        text = _swap(text, commit.span, commit.candidate.text)
+        text = _swap(text, commit.site, commit.tactic)
     return parse_script(text, script.statement)

@@ -18,8 +18,8 @@ from .config import (
     RepairConfig,
 )
 from .errors import (
-    ApolloError,
     BackendError,
+    BudgetExhausted,
     ExtractError,
     ParseError,
     RefineError,
@@ -38,7 +38,6 @@ from .llm import (
 )
 from .proofscript import (
     ProofScript,
-    SourceSpan,
     TheoremStatement,
     body_lines,
     count_sorries,
@@ -49,8 +48,8 @@ from .proofscript import (
     statement_matches,
 )
 from .refiner import default_ruleset, load_rules, refine
-from .repl import FAIL, PASS, PASS_WITH_SORRIES, CompileResult
-from .sorrifier import SorrifiedScript, check_script, sorrify, validate_statement
+from .repl import FAIL, PASS, PASS_WITH_SORRIES, CompileResult, SorryInfo
+from .sorrifier import DEADLINE, SorrifiedScript, check_script, sorrify, validate_statement
 
 log = logging.getLogger(__name__)
 
@@ -62,10 +61,6 @@ REASON_STATEMENT_MALFORMED = "statement_malformed"
 REASON_ALL_CANDIDATES_MALFORMED = "all_candidates_malformed"
 REASON_BUDGET_EXHAUSTED = "budget_exhausted"
 REASON_BACKEND = "backend_error"
-
-
-class _BudgetExhausted(ApolloError):
-    pass
 
 
 @dataclass
@@ -186,9 +181,9 @@ def _generate(run: _Run, statement: TheoremStatement, mode: str, depth: int,
     config = run.config
     remaining = config.sample_cap - run.ledger.samples_used
     if remaining <= 0:
-        raise _BudgetExhausted(f"sample cap {config.sample_cap} reached")
+        raise BudgetExhausted(f"sample cap {config.sample_cap} reached")
     if time.monotonic() - run.started > config.item_time_limit:
-        raise _BudgetExhausted("per-theorem wall clock limit reached")
+        raise BudgetExhausted("per-theorem wall clock limit reached")
     if mode != MODE_INITIAL:
         run.ledger.trigger(MODULE_LLM_REINVOKER)
     request = GenerationRequest(
@@ -286,48 +281,35 @@ def _process_candidate(run: _Run, session, statement: TheoremStatement,
 def _recurse_and_assemble(run: _Run, session, best: _CandidateState,
                           depth: int) -> ProofScript:
     config = run.config
-    sorrified = best.sorrified
-    script = sorrified.script
-    sites = sorted(sorrified.compile_result.sorries,
-                   key=lambda s: (s.pos.line, s.pos.column))
-
-    sub_results: list[tuple[SourceSpan | None, _FrameResult | None]] = []
-    for ordinal, info in enumerate(sites, start=1):
-        if info.pos.line == 0:
-            sub_results.append((None, None))
-            continue
-        span = SourceSpan(info.pos.line, info.pos.column,
-                          info.pos.line, info.end_pos.column)
+    script = best.sorrified.script
+    proved: list[tuple[SorryInfo, ProofScript]] = []
+    for ordinal, site in enumerate(best.sorrified.compile_result.sorries, start=1):
         try:
-            ctx = extract_goal(info, script, ordinal)
+            ctx = extract_goal(site, script, ordinal)
             sub_statement = transform_goal(ctx, session, config)
         except (ExtractError, TransformError) as exc:
             run.audit.append(depth, "goal_extraction", "rejected",
                              f"site {ordinal}: {exc}")
-            sub_results.append((span, None))
             continue
         run.audit.append(depth, "goal_extraction", "sub_lemma",
                          f"site {ordinal} -> {sub_statement.name}")
         sub = _frame(run, session, sub_statement, depth + 1, MODE_SUB_LEMMA)
-        sub_results.append((span, sub))
+        if sub.status == PROVED:
+            proved.append((site, sub.script))
 
-    return assemble(sorrified, sub_results)
+    return assemble(script, proved)
 
 
-def assemble(parent: SorrifiedScript,
-             sub_outcomes: list[tuple[SourceSpan | None, _FrameResult | None]]
-             ) -> ProofScript:
-    """Splice proved sub-proofs back in; unproved sites keep their sorry.
-    Every site's edit is taken against the parent text, and the edits
-    apply as one `replace_lines` call, parsed once; with no proved site
-    the parent script comes back as is."""
-    text = parent.script.text
-    edits = [splice_subproof(text, span, sub.script) for span, sub in sub_outcomes
-             if span is not None and sub is not None and sub.status == PROVED
-             and sub.script is not None]
-    if not edits:
-        return parent.script
-    return parse_script(replace_lines(text, edits), parent.script.statement)
+def assemble(script: ProofScript,
+             proved: list[tuple[SorryInfo, ProofScript]]) -> ProofScript:
+    """Splice each proved sub-proof in at its site; every other site keeps
+    its sorry.  Every site's edit is taken against the text of `script`,
+    and the edits apply as one `replace_lines` call, parsed once; with
+    nothing proved, `script` comes back as is."""
+    if not proved:
+        return script
+    edits = [splice_subproof(script.text, site, sub) for site, sub in proved]
+    return parse_script(replace_lines(script.text, edits), script.statement)
 
 
 def _frame(run: _Run, session, statement: TheoremStatement, depth: int,
@@ -355,7 +337,7 @@ def _frame(run: _Run, session, statement: TheoremStatement, depth: int,
     except BackendError as exc:
         run.audit.append(depth, "llm", "backend_error", f"{exc.kind}: {exc}")
         return _FrameResult(FAILED, None, REASON_BACKEND)
-    except _BudgetExhausted as exc:
+    except BudgetExhausted as exc:
         run.audit.append(depth, "orchestrator", "budget_exhausted", str(exc))
         return _FrameResult(FAILED, None, REASON_BUDGET_EXHAUSTED)
 
@@ -390,7 +372,7 @@ def _frame(run: _Run, session, statement: TheoremStatement, depth: int,
     if config.enable_llm_reinvoker and best.sorries > 0:
         try:
             script = _recurse_and_assemble(run, session, best, depth)
-        except (SpliceError, _BudgetExhausted) as exc:
+        except SpliceError as exc:
             run.audit.append(depth, "orchestrator", "assembly_error", str(exc))
             script = best.sorrified.script
         run.assisted = True
@@ -409,8 +391,10 @@ def apollo(statement: TheoremStatement, depth: int, config: RepairConfig,
 
     A partial result at the top level re-enters once in feedback mode when
     re-invocation is enabled and budget remains; the better of the two
-    attempts wins.  An unexpected error fails the theorem with the budget
-    it had spent, and is logged with its traceback.
+    attempts wins.  Once `config.item_time_limit` has passed, the next
+    compile fails the theorem as budget_exhausted.  An unexpected error
+    fails the theorem with the budget it had spent, and is logged with its
+    traceback.
     """
     ledger = BudgetLedger()
     audit = AuditLog()
@@ -419,6 +403,7 @@ def apollo(statement: TheoremStatement, depth: int, config: RepairConfig,
 
     with session_pool.lease() as session:
         calls_before = session.checks_issued
+        token = DEADLINE.set(run.started + config.item_time_limit)
         try:
             frame = _frame(run, session, statement, depth, MODE_INITIAL)
 
@@ -432,10 +417,15 @@ def apollo(statement: TheoremStatement, depth: int, config: RepairConfig,
                 rank = {PROVED: 0, PARTIAL_WITH_SORRIES: 1, FAILED: 2}
                 if rank[retry.status] < rank[frame.status]:
                     frame = retry
+        except BudgetExhausted as exc:
+            audit.append(0, "orchestrator", "budget_exhausted", str(exc))
+            frame = _FrameResult(FAILED, None, REASON_BUDGET_EXHAUSTED)
         except Exception as exc:
             log.exception("theorem %s errored: %s", statement.name, exc)
             audit.append(0, "orchestrator", "error", f"{type(exc).__name__}: {exc}")
             frame = _FrameResult(FAILED, None, f"error: {exc}")
+        finally:
+            DEADLINE.reset(token)
 
         ledger.add_repl_calls(session.checks_issued - calls_before)
 

@@ -113,6 +113,12 @@ class BackendError(ApolloError):
         super().__init__(message or kind)
 
 
+# --- budget ---
+
+class BudgetExhausted(ApolloError):
+    """The theorem's sample cap or wall-clock limit is spent."""
+
+
 # --- dataset ingestion ---
 
 class IngestError(ApolloError):

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 from .config import RepairConfig
 from .errors import SiteVanished, StatementMalformed, StatementRejected, UnparseableGoal
-from .proofscript import (
-    ProofScript,
-    SourceSpan,
-    TheoremStatement,
-    body_lines,
-    mask_regions,
-    serialize,
-)
+from .proofscript import ProofScript, TheoremStatement, body_lines, mask_regions, serialize
+from .repl import SorryInfo
 from .sorrifier import validate_statement
 
 _IDENT_RE = re.compile(r"^[^\s:(){}\[\]⟨⟩,]+$")
@@ -163,29 +157,29 @@ def _reindent(lines: list[str], target_indent: int) -> list[str]:
     return out
 
 
-def splice_subproof(parent: str, site: SourceSpan,
+def splice_subproof(parent: str, site: SorryInfo,
                     sub: ProofScript) -> tuple[int, int, list[str]]:
     """The edit of the script text `parent` that replaces the sorry at
     `site` with the proof body of `sub`, re-indented under the site: a
     `replace_lines` range over the site's line.  SiteVanished when no
     lone sorry ends that line of `parent`."""
+    no, start, end = site.pos.line, site.pos.column, site.end_pos.column
     lines = parent.split("\n")
-    if not 0 < site.start_line <= len(lines):
-        raise SiteVanished(f"line {site.start_line} out of range")
-    line = lines[site.start_line - 1]
-    token = line[site.start_col : site.end_col]
+    if not 0 < no <= len(lines):
+        raise SiteVanished(f"line {no} out of range")
+    line = lines[no - 1]
+    token = line[start:end]
     if token not in ("sorry", "admit"):
-        raise SiteVanished(f"expected a sorry at {site}, found {token!r}")
-    prefix = line[: site.start_col]
-    suffix = line[site.end_col :]
+        raise SiteVanished(f"expected a sorry at line {no}, column {start}, found {token!r}")
+    prefix, suffix = line[:start], line[end:]
     if suffix.strip():
-        raise SiteVanished(f"trailing text after the sorry at {site}: {suffix!r}")
+        raise SiteVanished(f"trailing text after the sorry at line {no}: {suffix!r}")
 
     sub_body = body_lines(sub)
-    line_indent = len(line) - len(line.lstrip()) if line.strip() else site.start_col
+    line_indent = len(line) - len(line.lstrip()) if line.strip() else start
     if prefix.strip():
         # `... := by sorry` becomes `... := by` with the body underneath
         new_lines = [prefix.rstrip()] + _reindent(sub_body, line_indent + 2)
     else:
-        new_lines = _reindent(sub_body, site.start_col)
-    return site.start_line, site.start_line, new_lines
+        new_lines = _reindent(sub_body, start)
+    return no, no, new_lines

@@ -57,7 +57,6 @@ class GenerationRequest:
 class GenerationResult:
     candidates: list[str]
     tokens_generated: int
-    tokens_estimated: bool = False
 
 
 def extract_lean_code(completion: str) -> str:
@@ -177,7 +176,6 @@ class HttpBackend:
         ]
         candidates: list[str] = []
         tokens = 0
-        estimated = False
         for payload in calls:
             data = self._post(payload)
             choices = data.get("choices", [])
@@ -186,13 +184,12 @@ class HttpBackend:
             usage = data.get("usage", {})
             if "completion_tokens" in usage:
                 tokens += int(usage["completion_tokens"])
-            else:
+            else:  # no usage reported: count words
                 tokens += sum(len(t.split()) for t in texts)
-                estimated = True
             candidates.extend(extract_lean_code(t) for t in texts)
         if not candidates:
             raise BackendError("empty_completion", "endpoint returned no text")
-        return GenerationResult(candidates[: request.k], tokens, estimated)
+        return GenerationResult(candidates[: request.k], tokens)
 
 
 class MockBackend:

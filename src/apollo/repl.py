@@ -54,7 +54,6 @@ class SorryInfo:
     pos: Position
     end_pos: Position
     goal: str
-    proof_state_id: int | None
 
 
 @dataclass
@@ -63,7 +62,6 @@ class CompileResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     sorries: list[SorryInfo] = field(default_factory=list)
     env_id: int | None = None
-    raw: dict | None = field(default=None, repr=False)
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -98,14 +96,8 @@ def classify(raw: dict) -> CompileResult:
                 _position(end) if end else None,
                 msg.get("data", ""),
             ))
-        sorries = []
-        for s in raw.get("sorries", []) or []:
-            sorries.append(SorryInfo(
-                _position(s["pos"]),
-                _position(s["endPos"]),
-                s.get("goal", ""),
-                s.get("proofState"),
-            ))
+        sorries = [SorryInfo(_position(s["pos"]), _position(s["endPos"]), s.get("goal", ""))
+                   for s in raw.get("sorries", []) or []]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedResponse(f"bad protocol message: {exc}") from exc
 
@@ -125,8 +117,7 @@ def classify(raw: dict) -> CompileResult:
         status = PASS_WITH_SORRIES
     else:
         status = PASS
-    return CompileResult(status, diagnostics, sorries,
-                         int(env) if env is not None else None, raw=raw)
+    return CompileResult(status, diagnostics, sorries, int(env) if env is not None else None)
 
 
 class _Proc:

@@ -12,10 +12,18 @@ from __future__ import annotations
 
 import logging
 import re
+import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 from .config import RepairConfig
-from .errors import NoEnclosingNode, Nonterminating, SorrifyError, StatementMalformed
+from .errors import (
+    BudgetExhausted,
+    NoEnclosingNode,
+    Nonterminating,
+    SorrifyError,
+    StatementMalformed,
+)
 from .proofscript import (
     KIND_HAVE,
     KIND_TACTIC,
@@ -36,6 +44,9 @@ REPLACE_BLOCK_WITH_SORRY = "replace_block_with_sorry"
 INSERT_SORRY = "insert_sorry"
 
 _UNSOLVED_MARKERS = ("unsolved goals",)
+
+# the monotonic time past which `check_script` compiles nothing more
+DEADLINE: ContextVar[float | None] = ContextVar("deadline", default=None)
 
 _PP_OPTIONS = (
     "pp.instanceTypes",
@@ -67,17 +78,18 @@ class RepairAction:
     last: int
     lines: list[str]
     block: tuple
-    triggering_diagnostic: Diagnostic
 
 
 @dataclass
 class SorrifiedScript:
-    """`compile_result` holds positions in script lines (`check_script`)."""
+    """`compile_result` is the last compile of `script`, from `check_script`:
+    positions in script lines, and its sorries the script's sorry sites in
+    position order.  `commits` are the tactics the auto-solver landed."""
 
     script: ProofScript
     actions: list[RepairAction]
     compile_result: CompileResult
-    commits: list = field(default_factory=list)  # tactics the solver landed
+    commits: list = field(default_factory=list)
 
 
 def apply_action(script: ProofScript, action: RepairAction) -> ProofScript:
@@ -161,20 +173,19 @@ def _sorried_have(line: str) -> str:
     return line[: masked.index(":=") + 2] + " by sorry"
 
 
-def _remove_line(script, line, block, diag) -> RepairAction:
+def _remove_line(script, line, block) -> RepairAction:
     """Drop one line; on the statement's own `by` line (an inline first
     tactic) only the tactic after `by` goes."""
     stmt = script.statement
     kept = []
     if line == (stmt.header + stmt.statement_text).count("\n") + 1:
         kept = [stmt.statement_text.split("\n")[-1]]
-    return RepairAction(REMOVE_LINE, line, line, kept, block, diag)
+    return RepairAction(REMOVE_LINE, line, line, kept, block)
 
 
-def _insertion(after: int, indent: int, block, diag) -> RepairAction:
+def _insertion(after: int, indent: int, block) -> RepairAction:
     """A `sorry` line at `indent`, inserted after line `after`."""
-    return RepairAction(INSERT_SORRY, after + 1, after, [" " * indent + "sorry"],
-                        block, diag)
+    return RepairAction(INSERT_SORRY, after + 1, after, [" " * indent + "sorry"], block)
 
 
 def _insert_action(script: ProofScript, diag: Diagnostic) -> RepairAction:
@@ -190,14 +201,14 @@ def _insert_action(script: ProofScript, diag: Diagnostic) -> RepairAction:
             if node.kind == KIND_TACTIC and ":= by" in mask_regions(line_text):
                 # an inline `have ... := by tac` left its goal open: the
                 # sorry continues that block on the next, deeper line
-                return _insertion(line, node.indent + 2, block, diag)
+                return _insertion(line, node.indent + 2, block)
             opener = script.node(block_path) if block_path else script.root
             indent = opener.children[-1].indent if opener.children else opener.indent + 2
-            return _insertion(opener.span.end_line, indent, block, diag)
+            return _insertion(opener.span.end_line, indent, block)
     # the statement's own `by` line: goals open at the end of the root block
     root = script.root
     return _insertion(root.span.end_line, root.children[-1].indent,
-                      _node_key(script, ()), diag)
+                      _node_key(script, ()))
 
 
 def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) -> RepairAction:
@@ -245,21 +256,21 @@ def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) 
             # a one-line `have ... := by tac` binds a name later lines may
             # use: sorry its body rather than dropping the hypothesis
             return RepairAction(REPLACE_BLOCK_WITH_SORRY, line, line,
-                                [_sorried_have(text)], block, diag)
+                                [_sorried_have(text)], block)
         if block_path == ():
             # lines directly under the root are dropped one at a time; an
             # emptied body parses back as a lone sorry
-            return _remove_line(script, line, block, diag)
+            return _remove_line(script, line, block)
         survives = script.node(block_path).line_count() - 1 >= 2  # header plus one tactic
         if survives and REMOVE_LINE not in done:
-            return _remove_line(script, line, block, diag)
+            return _remove_line(script, line, block)
 
     opener = script.node(block_path)
     first, last = opener.span.start_line, opener.span.end_line
     if REPLACE_BLOCK_WITH_SORRY in done or not _has_stated_goal(opener):
-        return RepairAction(REMOVE_BLOCK, first, last, [], block, diag)
+        return RepairAction(REMOVE_BLOCK, first, last, [], block)
     return RepairAction(REPLACE_BLOCK_WITH_SORRY, first, last,
-                        [_sorried_block(opener.lines[0])], block, diag)
+                        [_sorried_block(opener.lines[0])], block)
 
 
 _IMPORT_RE = re.compile(r"^\s*import\s")
@@ -277,11 +288,23 @@ def check_script(text: str, session, timeout: float,
     other line is sent as is.  Raises UnterminatedComment when a block
     comment never closes.
 
-    A position on no line of `text` (a preamble line, or one past the end
-    of the code) gets line 0, and a diagnostic's end position there becomes
-    None.  Such diagnostics are kept: the `hint` suggestions arrive in an
-    info message that need not sit on a script line.
+    A diagnostic on no line of `text` (a preamble line, or one past the end
+    of the code) gets line 0, and its end position there becomes None.
+    Such diagnostics are kept: the `hint` suggestions arrive in an info
+    message that need not sit on a script line.  The sorries are the
+    script's sorry sites in position order: a sorry whose start or end is
+    on no line of `text` can be neither swapped nor spliced, so it is
+    dropped.  The status is the REPL's, so it still counts every sorry.
+
+    Once the deadline that `apollo()` sets in DEADLINE has passed, raises
+    BudgetExhausted before sending anything.  The compile's own timeout is
+    not clamped to the time left: a compile that times out kills the REPL,
+    which under real Lean re-imports Mathlib on respawn, so an overrun is
+    bounded by one compile timeout instead.
     """
+    deadline = DEADLINE.get()
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExhausted("per-theorem wall clock limit reached")
     code = pp_preamble().split("\n") if pp else []
     mapping: list[int | None] = [None] * len(code)  # compile line -> text line
     leading = True
@@ -299,13 +322,12 @@ def check_script(text: str, session, timeout: float,
             return None
         return Position(mapping[pos.line - 1], pos.column)
 
-    def placed(pos: Position) -> Position:
-        return at(pos) or Position(0, pos.column)
-
-    diagnostics = [Diagnostic(d.severity, placed(d.pos), at(d.end_pos), d.message)
+    diagnostics = [Diagnostic(d.severity, at(d.pos) or Position(0, d.pos.column),
+                              at(d.end_pos), d.message)
                    for d in result.diagnostics]
-    sorries = [SorryInfo(placed(s.pos), placed(s.end_pos), s.goal, s.proof_state_id)
-               for s in result.sorries]
+    sites = [SorryInfo(at(s.pos), at(s.end_pos), s.goal) for s in result.sorries]
+    sorries = sorted((s for s in sites if s.pos and s.end_pos),
+                     key=lambda s: (s.pos.line, s.pos.column))
     return replace(result, diagnostics=diagnostics, sorries=sorries)
 
 

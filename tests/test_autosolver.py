@@ -14,12 +14,7 @@ from apollo.autosolver import (
     suite_candidates,
 )
 from apollo import proofscript
-from apollo.proofscript import (
-    SourceSpan,
-    count_sorries,
-    parse_script,
-    serialize,
-)
+from apollo.proofscript import count_sorries, parse_script, serialize
 from apollo.repl import PASS, PASS_WITH_SORRIES, start_session
 from apollo.sorrifier import sorrify
 from conftest import fake_repl_cmd
@@ -56,20 +51,13 @@ def _sorrified(source, session):
     return sorrify(parse_script(source), session)
 
 
-def _first_site(sorrified):
-    info = sorrified.compile_result.sorries[0]  # in script lines
-    return SourceSpan(info.pos.line, info.pos.column,
-                      info.pos.line, info.end_pos.column)
-
-
 def test_suite_order_and_shape():
     candidates = suite_candidates()
-    singles = [c for c in candidates if c.source == "suite"]
-    combos = [c for c in candidates if c.source == "combination"]
-    assert [c.text for c in singles] == DEFAULT_SUITE
+    singles, combos = candidates[:len(DEFAULT_SUITE)], candidates[len(DEFAULT_SUITE):]
+    assert singles == DEFAULT_SUITE
     assert len(singles) >= 10
-    assert len(combos) <= 12
-    assert all("<;>" in c.text for c in combos)
+    assert 0 < len(combos) <= 12
+    assert all("<;>" in c for c in combos)
     assert suite_candidates() == candidates  # stable across calls
 
 
@@ -78,36 +66,34 @@ def test_suite_overridable_from_file(tmp_path):
     path.write_text("# finishers\nnorm_num\naesop\n")
     assert load_suite(path) == ["norm_num", "aesop"]
     config = RepairConfig(suite_path=str(path))
-    texts = [c.text for c in suite_candidates(config) if c.source == "suite"]
-    assert texts == ["norm_num", "aesop"]
+    assert suite_candidates(config)[:2] == ["norm_num", "aesop"]
 
 
 def test_numeric_goal_closed_by_norm_num(session):
     src = "theorem t : 1 = 1 := by\n  have h : 2 + 2 = 4 := by\n    sorry\n  rfl\n"
     out = solve_sorries(_sorrified(src, session), session)
     assert count_sorries(out.script) == 0
-    assert out.commits[0].candidate.text == "norm_num"
-    assert out.commits[0].candidate.source == "suite"
+    assert out.commits[0].tactic == "norm_num"
 
 
 def test_order_matters_ring_nf_before_nlinarith(session):
     src = "theorem t : 1 = 1 := by\n  have h : G1 := by\n    sorry\n  rfl\n"
     out = solve_sorries(_sorrified(src, session), session)
-    assert [c.candidate.text for c in out.commits] == ["ring_nf"]
+    assert [c.tactic for c in out.commits] == ["ring_nf"]
 
 
 def test_hint_suggestion_validated_and_filtered(session):
     src = "theorem t : 1 = 1 := by\n  have h : G2 := by\n    sorry\n  rfl\n"
     sorrified = _sorrified(src, session)
-    span = _first_site(sorrified)
-    suggestions = hint_candidates(sorrified.script.text, span, session)
-    assert [(c.text, c.source) for c in suggestions] == [
-        ("simp only [foo]", "hint"), ("gcongr", "hint")]  # as returned, unvalidated
+    site = sorrified.compile_result.sorries[0]
+    suggestions = hint_candidates(sorrified.script.text, site, session)
+    assert suggestions == ["simp only [foo]", "gcongr"]  # as returned, unvalidated
 
     before = session.checks_issued
     out = solve_sorries(sorrified, session)
-    assert out.commits[0].candidate.source == "hint"
-    assert out.commits[0].candidate.text == "gcongr"  # progress-only filtered
+    # the hint suggestion that closes, past the one that only makes progress
+    assert out.commits[0].tactic == suggestions[1]
+    assert suggestions[1] not in suite_candidates()
     # the hint probe, then one trial per suggestion up to the one that closes
     assert session.checks_issued - before == 3
 
@@ -115,9 +101,9 @@ def test_hint_suggestion_validated_and_filtered(session):
 def test_hint_failure_yields_empty_list(session):
     src = "theorem t : 1 = 1 := by\n  have h : G3 := by\n    sorry\n  rfl\n"
     sorrified = _sorrified(src, session)
-    span = _first_site(sorrified)
+    site = sorrified.compile_result.sorries[0]
     before = session.checks_issued
-    assert hint_candidates(sorrified.script.text, span, session) == []
+    assert hint_candidates(sorrified.script.text, site, session) == []
     assert session.checks_issued - before == 1
 
 

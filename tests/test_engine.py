@@ -16,7 +16,7 @@ from apollo.engine import (
 from apollo.llm import GenerationRequest, MockBackend
 from apollo.proofscript import TheoremStatement, count_sorries, parse_script, serialize
 from apollo.repl import PASS, SessionPool, classify, start_session
-from apollo.sorrifier import SorrifiedScript, check_script
+from apollo.sorrifier import check_script
 from conftest import (
     FIXTURES,
     HEADER_332,
@@ -335,40 +335,24 @@ def test_verify_final_reports_errors_in_script_lines(plain_session):
 
 
 def test_assemble_keeps_sorry_for_failed_subs(plain_session):
-    from apollo.engine import _FrameResult
-    from apollo.proofscript import SourceSpan
-
-    parent_script = parse_script(
+    parent = parse_script(
         "theorem t : 2 + 2 = 4 := by\n"
         "  have a : 1 + 1 = 2 := by sorry\n"
         "  have b : 3 + 3 = 6 := by sorry\n"
         "  norm_num\n")
-    result = check_script(serialize(parent_script), plain_session,
-                          RepairConfig().compile_timeout)
-    parent = SorrifiedScript(parent_script, [], result)
-    lines = serialize(parent_script).split("\n")
-    spans = [
-        (2, lines[1].index("sorry")),
-        (3, lines[2].index("sorry")),
-    ]
-    sub_ok = _FrameResult(PROVED, parse_script(
-        "theorem t_sub1 : 1 + 1 = 2 := by\n  norm_num\n"))
-    sub_bad = _FrameResult(FAILED, None)
+    site_a, site_b = check_script(serialize(parent), plain_session,
+                                  RepairConfig().compile_timeout).sorries
+    sub_a = parse_script("theorem t_sub1 : 1 + 1 = 2 := by\n  norm_num\n")
+    sub_b = parse_script("theorem t_sub2 : 3 + 3 = 6 := by\n  norm_num\n")
 
-    both = assemble(parent, [
-        (SourceSpan(2, spans[0][1], 2, spans[0][1] + 5), sub_ok),
-        (SourceSpan(3, spans[1][1], 3, spans[1][1] + 5),
-         _FrameResult(PROVED, parse_script(
-             "theorem t_sub2 : 3 + 3 = 6 := by\n  norm_num\n"))),
-    ])
+    both = assemble(parent, [(site_a, sub_a), (site_b, sub_b)])
     assert count_sorries(both) == 0
 
-    partial = assemble(parent, [
-        (SourceSpan(2, spans[0][1], 2, spans[0][1] + 5), sub_ok),
-        (SourceSpan(3, spans[1][1], 3, spans[1][1] + 5), sub_bad),
-    ])
+    # the sub-lemma at site b was not proved: it is not passed, and b keeps its sorry
+    partial = assemble(parent, [(site_a, sub_a)])
     assert count_sorries(partial) == 1
     assert "have b : 3 + 3 = 6 := by sorry" in serialize(partial)
+    assert assemble(parent, []) is parent
 
 
 def test_proof_length_examples(pool_332):
@@ -543,3 +527,29 @@ def test_error_reply_to_a_candidate_as_generated_is_never_proved(
                      MockBackend(mock_suite["llm"]), SessionPool([session]))
     assert outcome.status != PROVED
     assert "candidate_pass" not in [e.action for e in outcome.audit.events]
+
+
+def test_item_time_limit_holds_past_the_last_generation(mock_suite, tmp_path):
+    # every compile of this candidate sleeps 50 ms, so the limit passes in
+    # the sorrify and auto-solver loops, after the only generation
+    write_llm_fixtures(tmp_path / "llm", {
+        "thm_auto": "--#fake_sleep=0.05\n" + SUITE_CANDIDATES["thm_auto"]})
+    pool = SessionPool.build(
+        lambda: start_session(fake_repl_cmd(mock_suite["rules"])), 1)
+    try:
+        with pool.lease() as session:
+            before = session.checks_issued
+        outcome = apollo(suite_statement("thm_auto"), 0,
+                         RepairConfig(max_depth_r=0, k_per_goal=1,
+                                      item_time_limit=0.1),
+                         MockBackend(tmp_path / "llm"), pool)
+        with pool.lease() as session:
+            spent = session.checks_issued - before
+    finally:
+        pool.close()
+    assert outcome.status == FAILED
+    assert outcome.failure_reason == "budget_exhausted"
+    assert [(e.module, e.action) for e in outcome.audit.events].count(
+        ("orchestrator", "budget_exhausted")) == 1
+    # without the limit this theorem is proved in 7 compiles
+    assert 0 < outcome.ledger.repl_calls == spent < 7

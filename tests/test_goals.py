@@ -2,19 +2,13 @@ import pytest
 
 from apollo.errors import SiteVanished, StatementRejected, UnparseableGoal
 from apollo.goals import extract_goal, splice_subproof, transform_goal
-from apollo.proofscript import (
-    SourceSpan,
-    count_sorries,
-    parse_script,
-    replace_lines,
-    serialize,
-)
+from apollo.proofscript import count_sorries, parse_script, replace_lines, serialize
 from apollo.repl import PASS, Position, SorryInfo
 from apollo.sorrifier import sorrify
 
 
 def _info(goal, line=2, col=2):
-    return SorryInfo(Position(line, col), Position(line, col + 5), goal, 1)
+    return SorryInfo(Position(line, col), Position(line, col + 5), goal)
 
 
 PARENT = parse_script(
@@ -126,9 +120,9 @@ def test_splice_inline_reindents_under_assignment():
         "  rfl\n")
     sub = parse_script("theorem t_sub1 : 2 + 2 = 4 := by\n  norm_num\n")
     col = serialize(parent).split("\n")[1].index("sorry")
-    edit = splice_subproof(parent.text, SourceSpan(2, col, 2, col + 5), sub)
+    edit = splice_subproof(parent.text, _info("", 2, col), sub)
     assert edit == (2, 2, ["  have h : 2 + 2 = 4 := by", "    norm_num"])
-    assert _splice(parent, SourceSpan(2, col, 2, col + 5), sub) == (
+    assert _splice(parent, _info("", 2, col), sub) == (
         "theorem t : 1 = 1 := by\n"
         "  have h : 2 + 2 = 4 := by\n"
         "    norm_num\n"
@@ -144,7 +138,7 @@ def test_splice_changes_nothing_outside_site():
     sub = parse_script("theorem t_sub1 : 2 + 2 = 4 := by\n  norm_num\n")
     before = serialize(parent).split("\n")
     col = before[3].index("sorry")
-    after = _splice(parent, SourceSpan(4, col, 4, col + 5), sub).split("\n")
+    after = _splice(parent, _info("", 4, col), sub).split("\n")
     assert after[:3] == before[:3]
     assert after[-2:] == before[-2:]
 
@@ -153,7 +147,7 @@ def test_splice_into_zero_sorry_parent_raises():
     parent = parse_script("theorem t : 1 = 1 := by\n  rfl\n")
     sub = parse_script("theorem t_sub1 : 1 = 1 := by\n  rfl\n")
     with pytest.raises(SiteVanished):
-        splice_subproof(parent.text, SourceSpan(2, 2, 2, 7), sub)
+        splice_subproof(parent.text, _info("", 2, 2), sub)
 
 
 def test_two_sorries_spliced_in_position_order(plain_session):
@@ -167,8 +161,8 @@ def test_two_sorries_spliced_in_position_order(plain_session):
     lines = serialize(parent).split("\n")
     col_b = lines[2].index("sorry")
     col_a = lines[1].index("sorry")
-    edits = [splice_subproof(parent.text, SourceSpan(2, col_a, 2, col_a + 5), sub_a),
-             splice_subproof(parent.text, SourceSpan(3, col_b, 3, col_b + 5), sub_b)]
+    edits = [splice_subproof(parent.text, _info("", 2, col_a), sub_a),
+             splice_subproof(parent.text, _info("", 3, col_b), sub_b)]
     out = replace_lines(parent.text, edits)
     assert replace_lines(parent.text, edits[::-1]) == out
     assert count_sorries(parse_script(out)) == 0

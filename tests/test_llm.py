@@ -186,7 +186,6 @@ def test_http_backend_sends_n_and_counts_usage(endpoint, monkeypatch):
     result = backend.generate(request)
     assert result.candidates == ["proof 0", "proof 1", "proof 2"]
     assert result.tokens_generated == 126
-    assert not result.tokens_estimated
     call = _Endpoint.calls[0]
     assert call["body"]["n"] == 3
     assert call["body"]["model"] == "test-model"
@@ -247,8 +246,7 @@ def test_http_backend_estimates_tokens_without_usage(endpoint):
         "choices": [{"message": {"content": "alpha beta gamma"}}]})]
     backend = HttpBackend(endpoint, "m")
     result = backend.generate(GenerationRequest(STMT, k=1))
-    assert result.tokens_generated == 3
-    assert result.tokens_estimated
+    assert result.tokens_generated == 3  # the word count
 
 
 def test_http_backend_empty_completion(endpoint):

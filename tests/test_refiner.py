@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import random
-import re
 
 import pytest
 

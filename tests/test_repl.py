@@ -1,5 +1,4 @@
 import gc
-import json
 import sys
 import threading
 import time
@@ -15,11 +14,14 @@ from apollo.repl import (
     REPL_CRASH,
     TIMEOUT,
     TIMEOUT_GRACE,
+    Position,
     SessionPool,
+    SorryInfo,
     classify,
     normalize_code,
     start_session,
 )
+from apollo.testing.fake_repl import FakeRepl, RuleTable
 from conftest import fake_repl_cmd
 
 
@@ -129,7 +131,7 @@ def test_classify_sorry_warning_and_entry():
     }
     result = classify(raw)
     assert result.status == PASS_WITH_SORRIES
-    assert result.sorries[0].proof_state_id == 4
+    assert result.sorries == [SorryInfo(Position(2, 2), Position(2, 7), "⊢ True")]
 
 
 def test_classify_error_beats_sorries():
@@ -171,12 +173,14 @@ def test_classify_idempotent_over_transcript(plain_session):
     codes = ["theorem t : 1 = 1 := by rfl",
              "theorem t : 1 = 1 := by\n  sorry",
              "theorem t : 1 = 1 := by\n  nope_tac"]
+    fake = FakeRepl(RuleTable())
     for code in codes:
+        reply = fake.handle(code)
+        first, second = classify(reply), classify(reply)
         live = plain_session.check(code)
-        first = classify(live.raw)
-        second = classify(live.raw)
-        assert first.status == second.status == live.status
-        assert first.diagnostics == second.diagnostics == live.diagnostics
+        assert first == second
+        assert first.status == live.status
+        assert first.diagnostics == live.diagnostics
 
 
 def test_timeout_contract_and_recovery():

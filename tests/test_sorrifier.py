@@ -391,12 +391,33 @@ def test_check_script_reports_script_lines():
         "in the preamble", "boom", "past the end"]
     (sorry,) = result.sorries
     assert (sorry.pos, sorry.end_pos) == (Position(5, col), Position(5, col + 5))
-    assert result.status == FAIL and result.raw is reply
+    assert result.status == FAIL
 
     # without the preamble, compile line 1 is script line 3
     bare = check_script(text, _CannedReplySession(reply), 5.0)
-    assert bare.sorries[0].pos.line == 0  # compile line 12 is past the end
+    assert bare.sorries == []  # compile line 12 is past the end: no site
     assert bare.diagnostics[0].pos.line == 4
+
+
+def test_check_script_returns_sites_in_position_order():
+    # the REPL lists the sorries in reverse, with one past the end of the code
+    text = ("theorem t : 2 + 2 = 4 := by\n"
+            "  have a : 1 + 1 = 2 := by sorry\n"
+            "  have b : 3 + 3 = 6 := by sorry\n"
+            "  norm_num\n")
+    col = text.split("\n")[1].index("sorry")
+
+    def sorry(line, goal):
+        return {"pos": {"line": line, "column": col},
+                "endPos": {"line": line, "column": col + 5}, "goal": goal}
+
+    reply = {"env": 1, "messages": [], "sorries": [
+        sorry(9, "past the end"), sorry(3, "⊢ 3 + 3 = 6"), sorry(2, "⊢ 1 + 1 = 2")]}
+    result = check_script(text, _CannedReplySession(reply), 5.0)
+    assert [(s.pos, s.end_pos, s.goal) for s in result.sorries] == [
+        (Position(2, col), Position(2, col + 5), "⊢ 1 + 1 = 2"),
+        (Position(3, col), Position(3, col + 5), "⊢ 3 + 3 = 6")]
+    assert result.status == PASS_WITH_SORRIES
 
 
 def test_check_script_drops_only_leading_imports():
