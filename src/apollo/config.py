@@ -23,8 +23,6 @@ class RepairConfig:
     suite_path: str | None = None
     sample_cap: int = 1100  # per-theorem generation budget
     item_time_limit: float = 7200.0
-    temperature: float = 1.0
-    max_tokens: int = 16384
 
     def __post_init__(self):
         if self.max_depth_r < 0:

@@ -33,15 +33,12 @@ from .llm import (
     MODE_FEEDBACK_REPAIR,
     MODE_INITIAL,
     MODE_SUB_LEMMA,
-    Decoding,
     GenerationRequest,
 )
 from .proofscript import (
     ProofScript,
     TheoremStatement,
-    body_lines,
     count_sorries,
-    mask_regions,
     parse_script,
     replace_lines,
     serialize,
@@ -49,7 +46,14 @@ from .proofscript import (
 )
 from .refiner import default_ruleset, load_rules, refine
 from .repl import FAIL, PASS, PASS_WITH_SORRIES, CompileResult, SorryInfo
-from .sorrifier import DEADLINE, SorrifiedScript, check_script, sorrify, validate_statement
+from .sorrifier import (
+    DEADLINE,
+    SorrifiedScript,
+    check_deadline,
+    check_script,
+    sorrify,
+    validate_statement,
+)
 
 log = logging.getLogger(__name__)
 
@@ -127,8 +131,8 @@ class Outcome:
 def proof_length(script: ProofScript) -> int:
     """Total tactic count: non-blank, non-comment lines of the proof body;
     combinator-joined tactics on one line count once."""
-    masked = mask_regions("\n".join(body_lines(script)))
-    return sum(1 for line in masked.split("\n") if line.strip())
+    root = script.root
+    return sum(1 for no in range(root.first, root.last + 1) if script.line(no)[1].strip())
 
 
 def verify_final(script: ProofScript, session,
@@ -151,7 +155,6 @@ class _Run:
     ledger: BudgetLedger
     audit: AuditLog
     rules: list
-    started: float
     assisted: bool = False
 
 
@@ -182,8 +185,7 @@ def _generate(run: _Run, statement: TheoremStatement, mode: str, depth: int,
     remaining = config.sample_cap - run.ledger.samples_used
     if remaining <= 0:
         raise BudgetExhausted(f"sample cap {config.sample_cap} reached")
-    if time.monotonic() - run.started > config.item_time_limit:
-        raise BudgetExhausted("per-theorem wall clock limit reached")
+    check_deadline()
     if mode != MODE_INITIAL:
         run.ledger.trigger(MODULE_LLM_REINVOKER)
     request = GenerationRequest(
@@ -191,7 +193,6 @@ def _generate(run: _Run, statement: TheoremStatement, mode: str, depth: int,
         mode=mode,
         k=min(config.k_per_goal, remaining),
         prior_attempt=prior,
-        decoding=Decoding(config.temperature, config.max_tokens),
     )
     result = run.backend.generate(request)
     run.ledger.add_samples(len(result.candidates))
@@ -392,18 +393,18 @@ def apollo(statement: TheoremStatement, depth: int, config: RepairConfig,
     A partial result at the top level re-enters once in feedback mode when
     re-invocation is enabled and budget remains; the better of the two
     attempts wins.  Once `config.item_time_limit` has passed, the next
-    compile fails the theorem as budget_exhausted.  An unexpected error
-    fails the theorem with the budget it had spent, and is logged with its
-    traceback.
+    compile or generation fails the theorem as budget_exhausted, or in the
+    feedback retry keeps the first attempt.  An unexpected error fails the
+    theorem with the budget it had spent, and is logged with its traceback.
     """
     ledger = BudgetLedger()
     audit = AuditLog()
     rules = load_rules(config.rules_path) if config.rules_path else default_ruleset()
-    run = _Run(config, backend, ledger, audit, rules, time.monotonic())
+    run = _Run(config, backend, ledger, audit, rules)
 
     with session_pool.lease() as session:
         calls_before = session.checks_issued
-        token = DEADLINE.set(run.started + config.item_time_limit)
+        token = DEADLINE.set(time.monotonic() + config.item_time_limit)
         try:
             frame = _frame(run, session, statement, depth, MODE_INITIAL)
 
@@ -412,8 +413,12 @@ def apollo(statement: TheoremStatement, depth: int, config: RepairConfig,
                     and ledger.samples_used < config.sample_cap):
                 audit.append(0, "orchestrator", "feedback_reentry", statement.name)
                 diags = frame.verify_result.diagnostics if frame.verify_result else []
-                retry = _frame(run, session, statement, 0, MODE_FEEDBACK_REPAIR,
-                               prior=(serialize(frame.script), diags))
+                try:
+                    retry = _frame(run, session, statement, 0, MODE_FEEDBACK_REPAIR,
+                                   prior=(serialize(frame.script), diags))
+                except BudgetExhausted as exc:  # the first attempt stands
+                    audit.append(0, "orchestrator", "budget_exhausted", str(exc))
+                    retry = frame
                 rank = {PROVED: 0, PARTIAL_WITH_SORRIES: 1, FAILED: 2}
                 if rank[retry.status] < rank[frame.status]:
                     frame = retry

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .config import RepairConfig
 from .errors import SiteVanished, StatementMalformed, StatementRejected, UnparseableGoal
-from .proofscript import ProofScript, TheoremStatement, body_lines, mask_regions, serialize
+from .proofscript import ProofScript, TheoremStatement, body_lines
 from .repl import SorryInfo
 from .sorrifier import validate_statement
 
@@ -116,7 +116,7 @@ def extract_goal(sorry_info, script: ProofScript, ordinal: int) -> GoalContext:
         hypotheses = [(n, rename(t)) for n, t in hypotheses]
         target = rename(target)
 
-    taken = set(re.findall(r"[\w'₀-₉]+", mask_regions(serialize(script))))
+    taken = set(re.findall(r"[\w'₀-₉]+", script.masked))
     fresh = _fresh_name(script.statement.name, ordinal, taken)
     return GoalContext(tuple(hypotheses), target, fresh, script.statement.header)
 

@@ -1,17 +1,20 @@
 """Lean proof scripts: normalized source text indexed by a tree of
 indentation-nested tactic blocks.
 
-A script is its text, kept once with trailing whitespace normalized away.
-Parsing builds a tree over that text whose nesting mirrors indentation
-only; no attempt is made to understand the full Lean grammar.  Edit the
-text; the caller parses what it keeps: every edit is one `replace_lines`
-call, which applies many line ranges to a text at once and returns text.
+A script is its text, kept once with trailing whitespace normalized away,
+and the mask of that text, lexed once when it is parsed: these are the
+only copies.  The tree holds line numbers only, and its nesting mirrors
+indentation; no attempt is made to understand the full Lean grammar.  Read
+a body line and its mask through `ProofScript.line`.  Edit the text; the
+caller parses what it keeps: every edit is one `replace_lines` call, which
+applies many line ranges to a text at once and returns text.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NodeNotFound, NoProofBody, UnterminatedComment
 
@@ -86,19 +89,6 @@ def normalize(text: str) -> str:
 
 
 @dataclass(frozen=True)
-class SourceSpan:
-    """Closed region of source text; lines 1-based, columns 0-based."""
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-
-    def contains_line(self, line: int) -> bool:
-        return self.start_line <= line <= self.end_line
-
-
-@dataclass(frozen=True)
 class TheoremStatement:
     name: str
     header: str
@@ -108,32 +98,57 @@ class TheoremStatement:
 
 @dataclass
 class ProofBlock:
-    span: SourceSpan
+    """Lines `first..last` of the script text (1-based, inclusive); the
+    block's own lines are those its children do not span."""
+
+    first: int
+    last: int
     indent: int
-    lines: list[str]  # own non-blank lines of the script text; children hold the rest
-    children: list[ProofBlock] = field(default_factory=list)
     kind: str = KIND_TACTIC
-    inline: bool = False  # on the statement's `by` line, with everything through `by` blanked
+    children: list[ProofBlock] = field(default_factory=list)
+    inline: bool = False  # on the statement's `by` line
 
     def walk(self, path=()):  # yields (path, node) depth first
         yield path, self
         for i, child in enumerate(self.children):
             yield from child.walk(path + (i,))
 
-    def line_count(self) -> int:
-        return len(self.lines) + sum(c.line_count() for c in self.children)
+    def contains_line(self, line: int) -> bool:
+        return self.first <= line <= self.last
+
+    def line_count(self, text: str) -> int:
+        """Non-blank lines of the script `text` in the block's span."""
+        return sum(1 for line in text.split("\n")[self.first - 1 : self.last] if line.strip())
 
 
 @dataclass
 class ProofScript:
-    """A theorem's normalized source `text` and the block tree that indexes
-    it, in lines of `text`.  `body_start_line` is the 1-based line of the
-    first body line: the `by` line itself when the first tactic is inline."""
+    """A theorem's normalized source `text`, its mask `masked` (lexed once,
+    same length), and the block tree that indexes both in lines: the text
+    and its mask are the only copies.  `body_start_line` is the 1-based line
+    of the first body line: the `by` line itself when the first tactic is
+    inline."""
 
     statement: TheoremStatement
     root: ProofBlock
     text: str
+    masked: str
     body_start_line: int
+
+    def line(self, no: int) -> tuple[str, str]:
+        """Line `no` of the text and of its mask, in context: a comment
+        opened on an earlier line masks this one.  On the `by` line of an
+        inline first tactic, everything through `by` is blanked."""
+        start, end = self._starts[no - 1], self._starts[no] - 1
+        text, masked = self.text[start:end], self.masked[start:end]
+        if no == self.body_start_line and self.root.children[0].inline:
+            cut = len(self.statement.statement_text.rsplit("\n", 1)[-1])
+            text, masked = " " * cut + text[cut:], " " * cut + masked[cut:]
+        return text, masked
+
+    @cached_property
+    def _starts(self) -> list[int]:  # the offset of each line, and one past the end
+        return [0, *(m.end() for m in re.finditer("\n", self.text)), len(self.text) + 1]
 
     def node(self, path: tuple[int, ...]) -> ProofBlock:
         cur = self.root
@@ -150,7 +165,7 @@ class ProofScript:
         """Deepest node whose span contains the given line."""
         best = None
         for path, node in self.walk():
-            if path and node.span.contains_line(line):
+            if path and node.contains_line(line):
                 if best is None or len(path) > len(best[0]):
                     best = (path, node)
         return best
@@ -209,13 +224,10 @@ def _locate_statement(masked: str, name: str | None) -> tuple[int, int]:
 class _Line:
     no: int  # 1-based over the normalized source
     indent: int
-    text: str  # verbatim, trailing whitespace stripped
     masked: str
 
 
-def _kind_for(masked_line: str, opener: bool) -> str:
-    if not opener:
-        return KIND_TACTIC
+def _kind_for(masked_line: str) -> str:
     stripped = masked_line.strip()
     if re.match(r"have\b", stripped):
         return KIND_HAVE
@@ -230,13 +242,9 @@ def _build_region(lines: list[_Line], i: int, stop_indent: int) -> tuple[list[Pr
     run: list[_Line] = []
 
     def flush_run():
-        if not run:
-            return
-        first, last = run[0], run[-1]
-        span = SourceSpan(first.no, first.indent, last.no, len(last.text))
-        nodes.append(ProofBlock(span, first.indent, [ln.text for ln in run], [],
-                                KIND_TACTIC))
-        run.clear()
+        if run:
+            nodes.append(ProofBlock(run[0].no, run[-1].no, run[0].indent))
+            run.clear()
 
     while i < len(lines):
         ln = lines[i]
@@ -246,12 +254,8 @@ def _build_region(lines: list[_Line], i: int, stop_indent: int) -> tuple[list[Pr
         if opener:
             flush_run()
             children, i = _build_region(lines, i + 1, ln.indent)
-            last = children[-1].span if children else None
-            end_line = last.end_line if last else ln.no
-            end_col = last.end_col if last else len(ln.text)
-            span = SourceSpan(ln.no, ln.indent, end_line, end_col)
-            nodes.append(ProofBlock(span, ln.indent, [ln.text], children,
-                                    _kind_for(ln.masked, True)))
+            nodes.append(ProofBlock(ln.no, children[-1].last, ln.indent,
+                                    _kind_for(ln.masked), children))
         else:
             run.append(ln)
             i += 1
@@ -289,26 +293,22 @@ def parse_script(source: str, statement: TheoremStatement | None = None) -> Proo
     blank = " " * (by_end - (norm.rfind("\n", 0, by_end) + 1))
     texts = (blank + norm[by_end:]).split("\n")
     masks = (blank + masked[by_end:]).split("\n")
-    records = [_Line(no, len(text) - len(text.lstrip()), text, mtext.rstrip())
+    records = [_Line(no, len(text) - len(text.lstrip()), mtext)
                for no, (text, mtext) in enumerate(zip(texts, masks), start=by_line_no)
                if text.strip()]
 
     children: list[ProofBlock] = []
     if records[0].no == by_line_no:
         rec = records.pop(0)
-        span = SourceSpan(rec.no, rec.indent, rec.no, len(rec.text))
-        children.append(ProofBlock(span, rec.indent, [rec.text], [], KIND_TACTIC,
-                                   inline=True))
+        children.append(ProofBlock(rec.no, rec.no, rec.indent, inline=True))
     pos = 0
     while pos < len(records):
         built, pos = _build_region(records, pos, -1)
         children.extend(built)
 
-    first, last = children[0].span, children[-1].span
-    root = ProofBlock(SourceSpan(first.start_line, 0, last.end_line, last.end_col),
-                      -1, [], children, KIND_ANON)
+    root = ProofBlock(children[0].first, children[-1].last, -1, KIND_ANON, children)
     body_start = by_line_no if children[0].inline else by_line_no + 1
-    return ProofScript(stmt, root, norm, body_start)
+    return ProofScript(stmt, root, norm, masked, body_start)
 
 
 def serialize(script: ProofScript) -> str:
@@ -319,7 +319,7 @@ def serialize(script: ProofScript) -> str:
 
 def count_sorries(script: ProofScript) -> int:
     """Number of sorry/admit tokens outside comments and strings."""
-    return len(_SORRY_RE.findall(mask_regions(script.text)))
+    return len(_SORRY_RE.findall(script.masked))
 
 
 def replace_lines(text: str, edits) -> str:
@@ -343,10 +343,7 @@ def body_lines(script: ProofScript) -> list[str]:
     """The proof body as standalone lines, first tactic to last; an inline
     first tactic keeps its column, the `by` line's prefix blanked."""
     root = script.root
-    lines = script.text.split("\n")[root.span.start_line - 1 : root.span.end_line]
-    if root.children[0].inline:
-        lines[0] = root.children[0].lines[0]
-    return lines
+    return [script.line(no)[0] for no in range(root.first, root.last + 1)]
 
 
 def statement_matches(script: ProofScript, statement: TheoremStatement) -> bool:

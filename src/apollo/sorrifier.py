@@ -113,12 +113,12 @@ def _node_key(script: ProofScript, path: tuple[int, ...]):
     if path == ():
         return ("<root>", -1, 0)
     node = script.node(path)
-    header = node.lines[0].strip() if node.lines else ""
+    header = script.line(node.first)[0].strip()
     occurrence = 0
     for p, other in script.walk():
         if p == path:
             break
-        if other.lines and other.lines[0].strip() == header and other.indent == node.indent:
+        if other.indent == node.indent and script.line(other.first)[0].strip() == header:
             occurrence += 1
     return (header, node.indent, occurrence)
 
@@ -132,29 +132,26 @@ def _enclosing_block(script: ProofScript, path: tuple[int, ...]) -> tuple[int, .
     return ()
 
 
-def _has_stated_goal(node) -> bool:
-    if not node.lines:
-        return False
-    masked = mask_regions(node.lines[0])
+def _has_stated_goal(script: ProofScript, node) -> bool:
+    masked = script.line(node.first)[1]
     return node.kind == KIND_HAVE and ":" in masked and ":=" in masked
 
 
 _HAVE_LINE_RE = re.compile(r"have\s+\S+\s*:.*:=")
 
 
-def _is_sorryable_have_line(text: str) -> bool:
-    masked = mask_regions(text).strip()
+def _is_sorryable_have_line(masked: str) -> bool:
+    masked = masked.strip()
     return bool(_HAVE_LINE_RE.match(masked)) and not masked.endswith("sorry")
 
 
 _BY_TAIL_RE = re.compile(r"(:=\s*by)\b")
 
 
-def _sorried_block(header: str) -> str:
+def _sorried_block(header: str, masked: str) -> str:
     """The one line a collapsed block becomes: a header carrying `:= by`
     keeps everything through `by` and gains ` sorry`, a `=>`-style header
     gains ` sorry`, and anything else becomes a bare `sorry`."""
-    masked = mask_regions(header)
     m = _BY_TAIL_RE.search(masked)
     if m:
         return header[: m.end(1)] + " sorry"
@@ -163,10 +160,9 @@ def _sorried_block(header: str) -> str:
     return " " * (len(header) - len(header.lstrip())) + "sorry"
 
 
-def _sorried_have(line: str) -> str:
+def _sorried_have(line: str, masked: str) -> str:
     """A one-line `have` with its proof sorried, through `:= by` or else
     through `:=`, so the hypothesis it binds stays."""
-    masked = mask_regions(line)
     m = _BY_TAIL_RE.search(masked)
     if m:
         return line[: m.end(1)] + " sorry"
@@ -197,17 +193,16 @@ def _insert_action(script: ProofScript, diag: Diagnostic) -> RepairAction:
             path, node = hit
             block_path = _enclosing_block(script, path)
             block = _node_key(script, block_path)
-            line_text = script.text.split("\n")[line - 1]
-            if node.kind == KIND_TACTIC and ":= by" in mask_regions(line_text):
+            if node.kind == KIND_TACTIC and ":= by" in script.line(line)[1]:
                 # an inline `have ... := by tac` left its goal open: the
                 # sorry continues that block on the next, deeper line
                 return _insertion(line, node.indent + 2, block)
             opener = script.node(block_path) if block_path else script.root
             indent = opener.children[-1].indent if opener.children else opener.indent + 2
-            return _insertion(opener.span.end_line, indent, block)
+            return _insertion(opener.last, indent, block)
     # the statement's own `by` line: goals open at the end of the root block
     root = script.root
-    return _insertion(root.span.end_line, root.children[-1].indent,
+    return _insertion(root.last, root.children[-1].indent,
                       _node_key(script, ()))
 
 
@@ -240,7 +235,7 @@ def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) 
         # multi-line span: repair the smallest node containing all of it
         best: tuple[int, ...] | None = None
         for p, n in script.walk():
-            if p and n.span.contains_line(line) and n.span.contains_line(diag.end_pos.line):
+            if p and n.contains_line(line) and n.contains_line(diag.end_pos.line):
                 if best is None or len(p) > len(best):
                     best = p
         if best is not None:
@@ -251,29 +246,35 @@ def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) 
     done = attempt_history.get(block, [])
 
     if node.kind == KIND_TACTIC:
-        text = script.text.split("\n")[line - 1]
-        if _is_sorryable_have_line(text):
-            # a one-line `have ... := by tac` binds a name later lines may
-            # use: sorry its body rather than dropping the hypothesis
+        text, masked = script.line(line)
+        if not node.inline and _is_sorryable_have_line(masked):
+            # a one-line `have ... := by tac` off the statement's line binds a
+            # name later lines may use: sorry its body rather than drop it
             return RepairAction(REPLACE_BLOCK_WITH_SORRY, line, line,
-                                [_sorried_have(text)], block)
+                                [_sorried_have(text, masked)], block)
         if block_path == ():
             # lines directly under the root are dropped one at a time; an
             # emptied body parses back as a lone sorry
             return _remove_line(script, line, block)
-        survives = script.node(block_path).line_count() - 1 >= 2  # header plus one tactic
+        survives = script.node(block_path).line_count(script.text) - 1 >= 2  # header plus one tactic
         if survives and REMOVE_LINE not in done:
             return _remove_line(script, line, block)
 
     opener = script.node(block_path)
-    first, last = opener.span.start_line, opener.span.end_line
-    if REPLACE_BLOCK_WITH_SORRY in done or not _has_stated_goal(opener):
-        return RepairAction(REMOVE_BLOCK, first, last, [], block)
-    return RepairAction(REPLACE_BLOCK_WITH_SORRY, first, last,
-                        [_sorried_block(opener.lines[0])], block)
+    if REPLACE_BLOCK_WITH_SORRY in done or not _has_stated_goal(script, opener):
+        return RepairAction(REMOVE_BLOCK, opener.first, opener.last, [], block)
+    return RepairAction(REPLACE_BLOCK_WITH_SORRY, opener.first, opener.last,
+                        [_sorried_block(*script.line(opener.first))], block)
 
 
 _IMPORT_RE = re.compile(r"^\s*import\s")
+
+
+def check_deadline():
+    """Raise BudgetExhausted once the deadline in DEADLINE has passed."""
+    deadline = DEADLINE.get()
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExhausted("per-theorem wall clock limit reached")
 
 
 def check_script(text: str, session, timeout: float,
@@ -302,9 +303,7 @@ def check_script(text: str, session, timeout: float,
     which under real Lean re-imports Mathlib on respawn, so an overrun is
     bounded by one compile timeout instead.
     """
-    deadline = DEADLINE.get()
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExhausted("per-theorem wall clock limit reached")
+    check_deadline()
     code = pp_preamble().split("\n") if pp else []
     mapping: list[int | None] = [None] * len(code)  # compile line -> text line
     leading = True
@@ -355,7 +354,7 @@ def sorrify(script: ProofScript, session, config: RepairConfig | None = None) ->
     config = config or RepairConfig()
     actions: list[RepairAction] = []
     history: dict = {}
-    cap = 2 * script.root.line_count() + 8
+    cap = 2 * script.root.line_count(script.text) + 8
 
     for _ in range(cap):
         result = check_script(serialize(script), session, config.compile_timeout,

@@ -460,6 +460,26 @@ def test_block_comment_in_a_candidate_body_is_proved_as_generated(mock_suite, tm
     assert outcome.ledger.repl_calls == 2  # the statement probe and the candidate
 
 
+def test_block_comment_closing_on_a_deeper_line_is_repaired(tmp_path):
+    # the `have` line opens a comment that its child line closes; the
+    # sorrifier must read that line in the context of its script
+    candidate = ("theorem t : 1 = 1 := by\n"
+                 "  have h : 1 = 1 := by frob /- a\n"
+                 "    b -/\n"
+                 "  rfl\n")
+    write_llm_fixtures(tmp_path / "llm", {"t": candidate})
+    pool = SessionPool.build(lambda: start_session(fake_repl_cmd()), 1)
+    try:
+        outcome = apollo(TheoremStatement("t", "", "theorem t : 1 = 1 := by"), 0,
+                         RepairConfig(max_depth_r=0, k_per_goal=1),
+                         MockBackend(tmp_path / "llm"), pool)
+    finally:
+        pool.close()
+    assert outcome.status == PROVED
+    assert "frob" not in serialize(outcome.final_script)
+    assert outcome.ledger.repl_calls == 7  # as with a `--` comment in its place
+
+
 def test_runaway_refiner_rule_leaves_the_candidate_unrefined(mock_suite, tmp_path):
     # candidate 0 fails and the one rule never reaches a fixpoint on it; the
     # theorem must not fail with it, since candidate 1 proves it as generated
@@ -553,3 +573,32 @@ def test_item_time_limit_holds_past_the_last_generation(mock_suite, tmp_path):
         ("orchestrator", "budget_exhausted")) == 1
     # without the limit this theorem is proved in 7 compiles
     assert 0 < outcome.ledger.repl_calls == spent < 7
+
+
+def test_deadline_in_feedback_reentry_keeps_the_first_attempt(mock_suite, tmp_path):
+    # the first attempt verifies partial; every compile of the retry's
+    # candidate sleeps 0.3 s, so the limit passes during the retry
+    write_llm_fixtures(tmp_path / "llm", {"thm_fail": SUITE_CANDIDATES["thm_fail"]})
+    (tmp_path / "llm/thm_fail/001.lean").write_text(
+        "--#fake_sleep=0.3\n" + SUITE_CANDIDATES["thm_fail"])
+    (tmp_path / "llm/thm_fail/meta.json").write_text(
+        json.dumps({"tokens": [10, 10]}))
+    pool = SessionPool.build(
+        lambda: start_session(fake_repl_cmd(mock_suite["rules"])), 1)
+    try:
+        outcome = apollo(suite_statement("thm_fail"), 0,
+                         RepairConfig(max_depth_r=0, k_per_goal=1,
+                                      item_time_limit=0.5),
+                         MockBackend(tmp_path / "llm"), pool)
+    finally:
+        pool.close()
+    assert outcome.status == PARTIAL_WITH_SORRIES
+    assert outcome.failure_reason is None
+    assert serialize(outcome.final_script) == (
+        "theorem thm_fail : PF := by\n"
+        "  have g1 : QF := by sorry\n"
+        "  exact pf_of g1\n")
+    actions = [(e.module, e.action) for e in outcome.audit.events]
+    assert actions.index(("orchestrator", "feedback_reentry")) < actions.index(
+        ("orchestrator", "budget_exhausted"))
+    assert actions.count(("orchestrator", "budget_exhausted")) == 1

@@ -32,11 +32,13 @@ def test_have_opens_child_of_three_lines():
     script = parse_script(NESTED)
     have = script.node((0,))
     assert have.kind == KIND_HAVE
-    assert have.lines == ["  have h4 : x ^ 2 >= 0 := by"]
+    assert (have.first, have.last) == (4, 7)
+    assert script.line(have.first)[0] == "  have h4 : x ^ 2 >= 0 := by"
     assert len(have.children) == 1
     child = have.children[0]
     assert child.kind == KIND_TACTIC
-    assert len([ln for ln in child.lines if ln.strip()]) == 3
+    assert (child.first, child.last) == (5, 7)
+    assert child.line_count(script.text) == 3
 
 
 def test_single_line_proof_parses_to_one_tactic_child():
@@ -60,11 +62,11 @@ def test_span_invariants_on_corpus():
             last_end = None
             for child in node.children:
                 if parent_path or node.indent >= 0:
-                    assert child.span.start_line >= node.span.start_line
-                    assert child.span.end_line <= node.span.end_line
+                    assert child.first >= node.first
+                    assert child.last <= node.last
                 if last_end is not None:
-                    assert child.span.start_line > last_end
-                last_end = child.span.end_line
+                    assert child.first > last_end
+                last_end = child.last
                 if node.indent >= 0:
                     assert child.indent > node.indent
 
@@ -75,8 +77,8 @@ def test_every_body_line_belongs_to_exactly_one_node():
     for path, node in script.walk():
         if not path:
             continue
-        for line in range(node.span.start_line, node.span.end_line + 1):
-            if node.children and line > node.span.start_line + len(node.lines) - 1:
+        for line in range(node.first, node.last + 1):
+            if node.children and line > node.first:
                 continue  # child region
             owners.setdefault(line, []).append(path)
     assert all(len(v) == 1 for v in owners.values())
@@ -118,15 +120,15 @@ def test_count_sorries_counts_admit():
 
 def _remove_block(script, path):
     node = script.node(path)
-    edit = (node.span.start_line, node.span.end_line, [])
+    edit = (node.first, node.last, [])
     return parse_script(replace_lines(script.text, [edit]))
 
 
 def test_remove_block_drops_header_plus_body():
     script = parse_script(NESTED)
-    before = script.root.line_count()
+    before = script.root.line_count(script.text)
     after = _remove_block(script, (0,))
-    assert before - after.root.line_count() == 4  # header + 3 lines
+    assert before - after.root.line_count(after.text) == 4  # header + 3 lines
 
 
 def test_replace_lines_out_of_range_raises():
@@ -160,7 +162,7 @@ def test_replace_lines_with_no_edits_returns_text():
 
 def test_remove_line_changes_only_that_line():
     script = parse_script(NESTED)
-    target = script.node((0,)).children[0].span.start_line
+    target = script.node((0,)).children[0].first
     out = replace_lines(script.text, [(target, target, [])])
     old = serialize(script).split("\n")
     new = out.split("\n")
@@ -181,7 +183,7 @@ def test_edits_do_not_mutate_input():
 
 def test_insert_sorry_increments_count():
     script = parse_script(NESTED)
-    end = script.node((1,)).span.end_line
+    end = script.node((1,)).last
     out = replace_lines(script.text, [(end + 1, end, ["  sorry"])])  # inserts after `end`
     assert count_sorries(parse_script(out)) == count_sorries(script) + 1
     old, new = serialize(script).split("\n"), out.split("\n")
@@ -201,16 +203,40 @@ def test_empty_body_parses_to_a_tree_that_holds_its_sorry():
     script = parse_script("theorem t : 1 = 1 := by\n")
     assert serialize(script) == "theorem t : 1 = 1 := by\n  sorry\n"
     (node,) = script.root.children
-    assert node.kind == KIND_TACTIC and node.lines == ["  sorry"]
-    assert node.span.start_line == node.span.end_line == 2
+    assert node.kind == KIND_TACTIC and node.first == node.last == 2
+    assert script.line(2) == ("  sorry", "  sorry")
     assert script.node_at_line(2) == ((0,), node)
-    assert script.root.line_count() == 1
+    assert script.root.line_count(script.text) == 1
+
+
+def test_line_is_masked_in_the_context_of_its_script():
+    script = parse_script("theorem t : 1 = 1 := by\n"
+                          "  have h : 1 = 1 := by frob /- a\n"
+                          "    b -/\n"
+                          "  rfl\n")
+    assert len(script.masked) == len(script.text)
+    assert script.line(2) == ("  have h : 1 = 1 := by frob /- a",
+                              "  have h : 1 = 1 := by frob" + " " * 5)
+    assert script.line(3) == ("    b -/", "        ")
+    assert script.line(4) == ("  rfl", "  rfl")
+
+
+def test_line_blanks_the_statement_on_an_inline_by_line():
+    script = parse_script('theorem t : 1 = 1 := by rfl -- "x"')
+    assert script.line(1) == (" " * 24 + 'rfl -- "x"', " " * 24 + "rfl" + " " * 7)
+    assert script.text.split("\n")[0] == 'theorem t : 1 = 1 := by rfl -- "x"'
 
 
 def assert_tree_indexes_text(script):
-    """Each node's lines, depth first, are the non-blank body lines."""
-    emitted = [line for _, node in script.walk() for line in node.lines]
-    assert emitted == [line for line in body_lines(script) if line.strip()]
+    """Each node's own lines (its span less its children's), depth first,
+    are the non-blank body lines."""
+    emitted = []
+    for path, node in script.walk():
+        if path:
+            own_last = node.children[0].first - 1 if node.children else node.last
+            emitted += [script.line(no)[0] for no in range(node.first, own_last + 1)]
+    assert [line for line in emitted if line.strip()] == [
+        line for line in body_lines(script) if line.strip()]
 
 
 @pytest.mark.parametrize("path", corpus_scripts(), ids=lambda p: p.name)
@@ -238,8 +264,8 @@ def test_tree_rebuilt_after_edit_satisfies_invariants():
     out = parse_script(replace_lines(script.text, [(4, 7, ["  have h4 : x ^ 2 >= 0 := by sorry"])]))
     for path, node in out.walk():
         for child in node.children:
-            assert child.span.start_line >= node.span.start_line
-            assert child.span.end_line <= node.span.end_line
+            assert child.first >= node.first
+            assert child.last <= node.last
 
 
 _IDENT = st.sampled_from(["norm_num", "ring_nf", "linarith", "simp", "omega"])

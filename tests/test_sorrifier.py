@@ -162,6 +162,12 @@ ADVERSARIAL = {
         "theorem a24 : 2 + 2 = 4 := by\n"
         "  norm_num\n"
     ),
+    "have_line_block_comment": (
+        "theorem a25 : 1 = 1 := by\n"
+        "  have h : 1 = 1 := by frob /- a\n"
+        "    b -/\n"
+        "  rfl\n"
+    ),
 }
 
 
@@ -191,7 +197,7 @@ def test_sorrify_postcondition(source, malformed, module_session):
             sorrify(script, module_session)
         return
     node_count = sum(1 for _ in script.walk())
-    cap = 2 * script.root.line_count() + 8
+    cap = 2 * script.root.line_count(script.text) + 8
 
     out = sorrify(script, module_session)
 
@@ -299,6 +305,10 @@ SORRIED_FORMS = {
                      REPLACE_BLOCK_WITH_SORRY, ["  have h : 1 = 1 := by sorry"]),
     "have_line_term": ("\n  have h : 1 = 1 := frob  -- a := b\n  rfl\n", 2,
                        REPLACE_BLOCK_WITH_SORRY, ["  have h : 1 = 1 := by sorry"]),
+    # the comment closes on the next, deeper line: masked out of its script,
+    # the `have` line alone holds an unterminated comment
+    "have_line_block_comment": ("\n  have h : 1 = 1 := by frob /- a\n    b -/\n  rfl\n", 2,
+                                REPLACE_BLOCK_WITH_SORRY, ["  have h : 1 = 1 := by sorry"]),
     "root_line": ("\n  frob\n  rfl\n", 2, REMOVE_LINE, []),
     "inline_tactic": (" frob\n", 1, REMOVE_LINE, ["theorem t : 1 = 1 := by"]),
 }
