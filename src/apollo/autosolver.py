@@ -1,12 +1,15 @@
 """Close sorry placeholders with Lean's own automation.
 
-The sites are the sorries of `check_script`, in position order, and each is
-attacked in turn: one `hint` probe, then a trial of each suggestion it
-returns in order, then a fixed suite of finishing tactics, then two-step
-combinations.  Each trial is one compile of an edited text, never parsed,
-and the first candidate that closes the site is committed: its trial compile
-shows strictly fewer sorries and no new errors, so a failing or timed-out
-candidate can never damage the script.
+The sites are the sorries of `check_script`, in position order.  One `hint`
+wave asks Lean for every site's suggestions at once: `hint` in place of
+each sorry, one compile, and each site's suggestions read from the info
+message at its own `hint` token.  Then each site is attacked in turn: a
+trial of each suggestion in order, then a fixed suite of finishing tactics,
+then two-step combinations.  A site the wave left unanswered gets its own
+`hint` probe first.  Each trial is one compile of an edited text, never
+parsed, and the first candidate that closes the site is committed: its
+trial compile shows strictly fewer sorries and no new errors, so a failing
+or timed-out candidate can never damage the script.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from .config import RepairConfig
 from .proofscript import ProofScript, parse_script, replace_lines
-from .repl import CompileResult, SorryInfo
+from .repl import CompileResult, Diagnostic, SorryInfo
 from .sorrifier import SorrifiedScript, check_script
 
 log = logging.getLogger(__name__)
@@ -67,10 +70,10 @@ def suite_candidates(config: RepairConfig | None = None) -> list[str]:
                       for first in singles[:4] for second in _COMBO_SECONDS]
 
 
-def parse_hint_suggestions(result: CompileResult) -> list[str]:
+def parse_hint_suggestions(diagnostics: list[Diagnostic]) -> list[str]:
     """Pull tactic texts out of the `Try these:` info messages."""
     suggestions: list[str] = []
-    for diag in result.diagnostics:
+    for diag in diagnostics:
         if diag.severity != "info":
             continue
         m = _TRY_THESE_RE.search(diag.message)
@@ -100,38 +103,65 @@ def _closes(result: CompileResult, baseline_sorries: int) -> bool:
     return result.ok and not result.errors and len(result.sorries) < baseline_sorries
 
 
-def hint_candidates(text: str, site: SorryInfo, session,
-                    config: RepairConfig | None = None) -> list[str]:
-    """Run `hint` at the site of the script `text`, one compile, and return
-    its suggestions in order.  They are not validated here: `solve_sorries`
-    trials each like any other candidate, so a suggestion that only makes
-    progress is never committed."""
+def hint_candidates(text: str, sites: list[SorryInfo], session,
+                    config: RepairConfig | None = None) -> list[list[str] | None]:
+    """Run `hint` at every site of the script `text`, one compile, and
+    return each site's suggestions in order, read from the messages at that
+    site's position.  The sites are in position order, as `check_script`
+    gives them, and are swapped right to left.  A site no message answers
+    gets None: under Lean a failed `hint` aborts the rest of its block, a
+    timed-out or crashed compile answers none, and a `hint` that shares its
+    line with an earlier site sits left of its sorry.  A lone site's probe
+    is its own answer, so it gets `[]`.  The compile may take as long as
+    one probe per site, but no longer than one `compile_timeout`.  The
+    suggestions are not validated here: `solve_sorries` trials each like
+    any other candidate, so a suggestion that only makes progress is never
+    committed."""
     config = config or RepairConfig()
-    _, probe = _trial(text, site, "hint", session, config)
-    return parse_hint_suggestions(probe)
+    wave = text
+    for site in reversed(sites):
+        wave = _swap(wave, site, "hint")
+    timeout = min(config.candidate_timeout * len(sites), config.compile_timeout)
+    probe = check_script(wave, session, timeout, pp=True)
+    answers: list[list[str] | None] = []
+    for site in sites:
+        messages = [d for d in probe.diagnostics if d.pos == site.pos]
+        answers.append(parse_hint_suggestions(messages)
+                       if messages or len(sites) == 1 else None)
+    return answers
 
 
 def solve_sorries(s: SorrifiedScript, session,
                   config: RepairConfig | None = None) -> SorrifiedScript:
-    """Try to discharge every sorry: at each site, trial the `hint`
-    suggestions and then the suite, one compile each, and commit the first
-    that closes it.  Sites that resist all candidates stay sorried.  The
-    text is parsed once, at the end, and only when something was committed.
-    The result still compiles Pass or PassWithSorries."""
+    """Try to discharge every sorry: one `hint` wave over all sites, then at
+    each site, trial its `hint` suggestions and then the suite, one compile
+    each, and commit the first that closes it.  A commit edits one line, so
+    the wave answers of the other lines stay with their sites; a site the
+    wave left unanswered, or whose line a commit edited, is probed alone
+    when its turn comes.  Sites that resist all candidates stay
+    sorried.  The text is parsed once, at the end, and only when something
+    was committed.  The result still compiles Pass or PassWithSorries."""
     config = config or RepairConfig()
     text = s.script.text
     result = s.compile_result
     commits: list[CommittedTactic] = list(s.commits)
+    hints = (dict(zip(result.sorries, hint_candidates(text, result.sorries, session, config)))
+             if result.sorries else {})
     skipped = 0
 
     while skipped < len(result.sorries):
         site = result.sorries[skipped]
-        for tactic in hint_candidates(text, site, session, config) + suite_candidates(config):
+        suggestions = hints.get(site)
+        if suggestions is None:
+            suggestions = hint_candidates(text, [site], session, config)[0]
+        for tactic in suggestions + suite_candidates(config):
             trial, trial_result = _trial(text, site, tactic, session, config)
             if _closes(trial_result, len(result.sorries)):
                 log.debug("autosolver: %r closed site at line %d", tactic, site.pos.line)
                 text, result = trial, trial_result
                 commits.append(CommittedTactic(site, tactic))
+                hints = {other: answer for other, answer in hints.items()
+                         if other.pos.line != site.pos.line}
                 break
         else:
             skipped += 1

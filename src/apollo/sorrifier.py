@@ -193,9 +193,12 @@ def _insert_action(script: ProofScript, diag: Diagnostic) -> RepairAction:
             path, node = hit
             block_path = _enclosing_block(script, path)
             block = _node_key(script, block_path)
-            if node.kind == KIND_TACTIC and ":= by" in script.line(line)[1]:
+            if (node.kind == KIND_TACTIC and ":= by" in script.line(line)[1]
+                    and diag.pos.column >= node.indent):
                 # an inline `have ... := by tac` left its goal open: the
-                # sorry continues that block on the next, deeper line
+                # sorry continues that block on the next, deeper line.  Goals
+                # reported left of the tactic (the statement's own `by`, on
+                # its line) are the root block's.
                 return _insertion(line, node.indent + 2, block)
             opener = script.node(block_path) if block_path else script.root
             indent = opener.children[-1].indent if opener.children else opener.indent + 2
@@ -291,8 +294,8 @@ def check_script(text: str, session, timeout: float,
 
     A diagnostic on no line of `text` (a preamble line, or one past the end
     of the code) gets line 0, and its end position there becomes None.
-    Such diagnostics are kept: the `hint` suggestions arrive in an info
-    message that need not sit on a script line.  The sorries are the
+    Such diagnostics are kept, so that a message placed in the preamble or
+    past the end of the code still reaches the caller.  The sorries are the
     script's sorry sites in position order: a sorry whose start or end is
     on no line of `text` can be neither swapped nor spliced, so it is
     dropped.  The status is the REPL's, so it still counts every sorry.
@@ -301,7 +304,9 @@ def check_script(text: str, session, timeout: float,
     BudgetExhausted before sending anything.  The compile's own timeout is
     not clamped to the time left: a compile that times out kills the REPL,
     which under real Lean re-imports Mathlib on respawn, so an overrun is
-    bounded by one compile timeout instead.
+    bounded by one compile timeout instead.  The auto-solver's `hint` wave,
+    one probe's time per site, is capped at `compile_timeout` to keep that
+    bound.
     """
     check_deadline()
     code = pp_preamble().split("\n") if pp else []

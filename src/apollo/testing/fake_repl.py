@@ -16,7 +16,10 @@ The "kernel" is a tiny tactic interpreter:
   never one from another command, since each is sent against the header
   environment alone;
 * `norm_num`, `omega` and `decide` evaluate closed rational arithmetic;
-* `hint` emits a "Try these:" info message from a suggestion table;
+* `hint` emits a "Try these:" info message from a suggestion table (or
+  "hint found no applicable tactics") at its own token, as Mathlib's `hint`
+  logs its suggestions at the tactic's syntax, and then closes the goal
+  like `sorry`;
 * everything else is resolved against a rule table loaded with --rules:
   entries either close a goal, or step it to a new goal, optionally
   requiring named hypotheses to be in scope.
@@ -334,8 +337,7 @@ class Checker:
                 msg = "Try these:\n" + "\n".join("• " + s for s in suggestions)
             else:
                 msg = "hint found no applicable tactics"
-            state.infos.append(msg)
-            return ("sorry", None)
+            return ("hint", msg)
 
         hit = self.try_table(goal, text, ctx)
         if hit:
@@ -481,8 +483,10 @@ class FakeRepl:
             verdict, detail = self.checker.eval_tactic(goal, text, ctx, state)
             if verdict == "closed":
                 closed = True
-            elif verdict == "sorry":
+            elif verdict in ("sorry", "hint"):
                 closed = True
+                if verdict == "hint":
+                    state.infos.append((ln.no, ln.col, detail))  # at the token
                 tok = "admit" if text.startswith("admit") else "sorry"
                 tok_col = ln.raw.find(tok, ln.col)
                 tok_col = ln.col if tok_col == -1 else tok_col
@@ -619,11 +623,11 @@ class FakeRepl:
 
         for line_no, col, msg in state.errors:
             messages.append(_err(line_no, col, msg))
-        for msg in state.infos:
+        for line_no, col, msg in state.infos:
             messages.append({
                 "severity": "info",
-                "pos": {"line": 1, "column": 0},
-                "endPos": None,
+                "pos": {"line": line_no, "column": col},
+                "endPos": {"line": line_no, "column": col + len("hint")},
                 "data": msg,
             })
         if state.sorries:

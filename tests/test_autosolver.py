@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -15,9 +16,10 @@ from apollo.autosolver import (
 )
 from apollo import proofscript
 from apollo.proofscript import count_sorries, parse_script, serialize
-from apollo.repl import PASS, PASS_WITH_SORRIES, start_session
-from apollo.sorrifier import sorrify
-from conftest import fake_repl_cmd
+from apollo.refiner import refine
+from apollo.repl import PASS, PASS_WITH_SORRIES, TIMEOUT, CompileResult, classify, start_session
+from apollo.sorrifier import SorrifiedScript, check_script, sorrify
+from conftest import FIXTURES, fake_repl_cmd
 
 RULES = {
     "closes": [
@@ -85,8 +87,8 @@ def test_order_matters_ring_nf_before_nlinarith(session):
 def test_hint_suggestion_validated_and_filtered(session):
     src = "theorem t : 1 = 1 := by\n  have h : G2 := by\n    sorry\n  rfl\n"
     sorrified = _sorrified(src, session)
-    site = sorrified.compile_result.sorries[0]
-    suggestions = hint_candidates(sorrified.script.text, site, session)
+    sites = sorrified.compile_result.sorries
+    (suggestions,) = hint_candidates(sorrified.script.text, sites, session)
     assert suggestions == ["simp only [foo]", "gcongr"]  # as returned, unvalidated
 
     before = session.checks_issued
@@ -94,17 +96,149 @@ def test_hint_suggestion_validated_and_filtered(session):
     # the hint suggestion that closes, past the one that only makes progress
     assert out.commits[0].tactic == suggestions[1]
     assert suggestions[1] not in suite_candidates()
-    # the hint probe, then one trial per suggestion up to the one that closes
+    # the hint wave, then one trial per suggestion up to the one that closes
     assert session.checks_issued - before == 3
 
 
 def test_hint_failure_yields_empty_list(session):
     src = "theorem t : 1 = 1 := by\n  have h : G3 := by\n    sorry\n  rfl\n"
     sorrified = _sorrified(src, session)
-    site = sorrified.compile_result.sorries[0]
+    sites = sorrified.compile_result.sorries
     before = session.checks_issued
-    assert hint_candidates(sorrified.script.text, site, session) == []
+    assert hint_candidates(sorrified.script.text, sites, session) == [[]]
     assert session.checks_issued - before == 1
+
+
+MULTI_HAVE = (
+    "theorem t : GMAIN := by\n"
+    "  have a : 2 + 2 = 4 := by sorry\n"
+    "  have b : G2 := by\n"
+    "    sorry\n"
+    "  have c : G3 := by sorry\n"
+    "  have h : G1 := by\n"
+    "    sorry\n"
+    "  have d : G2 := by sorry\n"
+    "  exact main_wit h\n"
+)
+
+
+def _wave_and_probes(sorrified, session):
+    text, sites = sorrified.script.text, sorrified.compile_result.sorries
+    before = session.checks_issued
+    wave = hint_candidates(text, sites, session)
+    assert session.checks_issued - before == 1
+    return wave, [hint_candidates(text, [site], session)[0] for site in sites]
+
+
+def test_wave_answers_each_site_as_its_own_probe(session_332, session):
+    source = (FIXTURES / "llm_332" / "mathd_algebra_332" / "000.lean").read_text(
+        encoding="utf-8")
+    worked = _sorrified(refine(source)[0], session_332)
+    wave, probes = _wave_and_probes(worked, session_332)
+    assert len(wave) == 6 and wave == probes
+    assert ["nlinarith [sq_nonneg (x + y)]", "positivity"] in wave
+
+    wave, probes = _wave_and_probes(_sorrified(MULTI_HAVE, session), session)
+    assert wave == probes == [[], ["simp only [foo]", "gcongr"], [], [],
+                              ["simp only [foo]", "gcongr"]]
+
+
+class _HintRepl:
+    """A session that stands in for Lean on `hint`.  Each `sorry` or `hint`
+    token is a sorry site with goal `⊢ G`.  Each `hint` token, in position
+    order and up to `answered` of them in one compile, gets an info
+    message at its own position offering `suggest(column)` (under Lean a
+    failed `hint` aborts the rest of its block, so a later one says
+    nothing); with `wave_times_out`, a compile with more than one `hint`
+    times out.  A suite tactic anywhere in the code is an error."""
+
+    def __init__(self, suggest=lambda column: "rfl", answered=None,
+                 wave_times_out=False):
+        self.suggest, self.answered = suggest, answered
+        self.wave_times_out = wave_times_out
+        self.sent = []  # (number of `hint` tokens, timeout) per compile
+
+    def check(self, code, timeout=None):
+        lines = code.split("\n")
+        tokens = [(no, m) for no, line in enumerate(lines, start=1)
+                  for m in re.finditer(r"\b(?:sorry|hint)\b", line)]
+        hints = [(no, m.start()) for no, m in tokens if m.group() == "hint"]
+        self.sent.append((len(hints), timeout))
+        if self.wave_times_out and len(hints) > 1:
+            return CompileResult(TIMEOUT)
+        messages = [{"severity": "info", "pos": {"line": no, "column": col},
+                     "endPos": {"line": no, "column": col + 4},
+                     "data": "Try these:\n• " + self.suggest(col)}
+                    for no, col in hints[:self.answered]]
+        if any(re.search(rf"\b{tactic}\b", code) for tactic in DEFAULT_SUITE):
+            messages.append({"severity": "error", "pos": {"line": 1, "column": 0},
+                             "endPos": None, "data": "tactic failed"})
+        sorries = [{"pos": {"line": no, "column": m.start()},
+                    "endPos": {"line": no, "column": m.end()}, "goal": "⊢ G"}
+                   for no, m in tokens]
+        return classify({"env": 0, "messages": messages, "sorries": sorries})
+
+
+def _stub_sorrified(text, stub):
+    result = check_script(text, stub, 1.0, pp=True)
+    stub.sent.clear()
+    return SorrifiedScript(parse_script(text), [], result)
+
+
+def test_site_sharing_a_line_with_an_earlier_one_is_probed_alone():
+    text = "theorem t : G := by\n  exact ⟨sorry, sorry⟩\n"
+    stub = _HintRepl(suggest=lambda column: f"exact c{column}")
+    sorrified = _stub_sorrified(text, stub)
+    first, second = sites = sorrified.compile_result.sorries
+    assert first.pos.line == second.pos.line
+    # the second `hint` sits one column left of its sorry, so the wave
+    # leaves that site unanswered
+    assert hint_candidates(text, sites, stub, RepairConfig(candidate_timeout=0.5)) == [
+        [f"exact c{first.pos.column}"], None]
+    assert stub.sent == [(2, 1.0)]  # one compile, as long as two probes
+
+    # the commit at the first site edits the second's line: that site is
+    # probed alone, at its new column
+    stub = _HintRepl()
+    out = solve_sorries(_stub_sorrified(text, stub), stub)
+    assert stub.sent == [(2, 120.0), (0, 60.0), (1, 60.0), (0, 60.0)]
+    assert [(c.site.pos.column, c.tactic) for c in out.commits] == [
+        (first.pos.column, "rfl"), (second.pos.column - 2, "rfl")]
+    assert serialize(out.script) == "theorem t : G := by\n  exact ⟨rfl, rfl⟩\n"
+
+
+def test_wave_timeout_is_capped_at_one_compile_timeout():
+    text = "theorem t : G := by\n" + "".join(
+        f"  have h{i} : A := by sorry\n" for i in range(8)) + "  exact c\n"
+    stub = _HintRepl()
+    sites = _stub_sorrified(text, stub).compile_result.sorries
+    assert len(sites) == 8
+    config = RepairConfig(candidate_timeout=60.0, compile_timeout=300.0)
+    assert hint_candidates(text, sites, stub, config) == [["rfl"]] * 8
+    assert stub.sent == [(8, 300.0)]  # not 8 x 60 s
+
+
+TWO_HAVES = ("theorem t : G := by\n"
+             "  have a : A := by sorry\n"
+             "  have b : B := by sorry\n"
+             "  exact c\n")
+
+
+def test_site_the_wave_leaves_unanswered_is_probed_alone():
+    stub = _HintRepl(answered=1)
+    out = solve_sorries(_stub_sorrified(TWO_HAVES, stub), stub)
+    # the wave, the first site's trial, then the second site's own probe
+    # and trial
+    assert [hints for hints, _ in stub.sent] == [2, 0, 1, 0]
+    assert [c.tactic for c in out.commits] == ["rfl", "rfl"]
+
+
+def test_timed_out_wave_falls_back_to_one_probe_per_site():
+    stub = _HintRepl(wave_times_out=True)
+    config = RepairConfig(candidate_timeout=0.5)
+    out = solve_sorries(_stub_sorrified(TWO_HAVES, stub), stub, config)
+    assert stub.sent == [(2, 1.0), (1, 0.5), (0, 0.5), (1, 0.5), (0, 0.5)]
+    assert [c.tactic for c in out.commits] == ["rfl", "rfl"]
 
 
 def test_unclosable_sorry_remains(session):
@@ -200,8 +334,6 @@ def test_only_the_kept_text_is_parsed(session, parse_calls, src, commits, parses
 
 
 def test_parse_hint_suggestions_formats():
-    from apollo.repl import classify
-
     raw = {
         "env": 0,
         "messages": [
@@ -214,5 +346,5 @@ def test_parse_hint_suggestions_formats():
         ],
         "sorries": [],
     }
-    assert parse_hint_suggestions(classify(raw)) == [
+    assert parse_hint_suggestions(classify(raw).diagnostics) == [
         "positivity", "nlinarith [sq_nonneg x]", "omega"]

@@ -168,6 +168,9 @@ ADVERSARIAL = {
         "    b -/\n"
         "  rfl\n"
     ),
+    "inline_have_on_statement_line": (
+        "theorem a26 : 2 + 2 = 4 := by have h : 1 = 1 := by frob"
+    ),
 }
 
 
@@ -256,6 +259,18 @@ def test_choose_repair_line_first_then_block():
     assert (second.first, second.last) == (2, 5)  # the whole `have` block
     assert second.lines == ["  have h : 2 = 2 := by sorry"]
     assert second.block == first.block
+
+
+def test_inline_have_on_the_statement_line_sorrifies(plain_session):
+    # the root's `unsolved goals` sits at the statement's `by`, left of the
+    # inline `have`: its sorry ends the root block, and the `have`'s own
+    # error then drops the tactic from the statement's line
+    before = plain_session.checks_issued
+    out = sorrify(parse_script(ADVERSARIAL["inline_have_on_statement_line"]),
+                  plain_session)
+    assert out.compile_result.status == PASS_WITH_SORRIES
+    assert [a.kind for a in out.actions] == [INSERT_SORRY, REMOVE_LINE]
+    assert plain_session.checks_issued - before == 3
 
 
 def test_choose_repair_unsolved_inserts_sorry():
