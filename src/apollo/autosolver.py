@@ -96,7 +96,7 @@ def _swap(text: str, site: SorryInfo, tactic: str) -> str:
 def _trial(text: str, site: SorryInfo, tactic: str, session,
            config: RepairConfig) -> tuple[str, CompileResult]:
     trial = _swap(text, site, tactic)
-    return trial, check_script(trial, session, config.candidate_timeout, pp=True)
+    return trial, check_script(trial, session, config.candidate_timeout)
 
 
 def _closes(result: CompileResult, baseline_sorries: int) -> bool:
@@ -122,7 +122,7 @@ def hint_candidates(text: str, sites: list[SorryInfo], session,
     for site in reversed(sites):
         wave = _swap(wave, site, "hint")
     timeout = min(config.candidate_timeout * len(sites), config.compile_timeout)
-    probe = check_script(wave, session, timeout, pp=True)
+    probe = check_script(wave, session, timeout)
     answers: list[list[str] | None] = []
     for site in sites:
         messages = [d for d in probe.diagnostics if d.pos == site.pos]

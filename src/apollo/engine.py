@@ -39,13 +39,14 @@ from .proofscript import (
     ProofScript,
     TheoremStatement,
     count_sorries,
+    normalize,
     parse_script,
     replace_lines,
     serialize,
     statement_matches,
 )
 from .refiner import default_ruleset, load_rules, refine
-from .repl import FAIL, PASS, PASS_WITH_SORRIES, CompileResult, SorryInfo
+from .repl import FAIL, PASS, REPL_CRASH, TIMEOUT, CompileResult, SorryInfo
 from .sorrifier import (
     DEADLINE,
     SorrifiedScript,
@@ -135,17 +136,19 @@ def proof_length(script: ProofScript) -> int:
     return sum(1 for no in range(root.first, root.last + 1) if script.line(no)[1].strip())
 
 
-def verify_final(script: ProofScript, session,
-                 config: RepairConfig | None = None) -> tuple[str, CompileResult]:
-    """Full compile without the pp preamble plus a token scan; a proof is
-    Proved only when the compiler passes and no sorry/admit token remains."""
-    config = config or RepairConfig()
-    result = check_script(serialize(script), session, config.compile_timeout)
+def _verdict(script: ProofScript, result: CompileResult) -> tuple[str, CompileResult]:
+    """(status, `result`) for `script`, given `result`, a compile of its
+    text: Proved only when it passes and no sorry/admit token remains."""
     if result.status == PASS and count_sorries(script) == 0:
         return PROVED, result
-    if result.status in (PASS, PASS_WITH_SORRIES):
-        return PARTIAL_WITH_SORRIES, result
-    return FAILED, result
+    return (PARTIAL_WITH_SORRIES if result.ok else FAILED), result
+
+
+def verify_final(script: ProofScript, session,
+                 config: RepairConfig | None = None) -> tuple[str, CompileResult]:
+    """Full compile plus a token scan: the `_verdict` of a fresh compile."""
+    timeout = (config or RepairConfig()).compile_timeout
+    return _verdict(script, check_script(serialize(script), session, timeout))
 
 
 @dataclass
@@ -172,7 +175,6 @@ class _CandidateState:
     sorrified: SorrifiedScript | None
     sorries: int
     touched: bool
-    verified: CompileResult | None = None  # the PASS that accepted it as generated
 
     @property
     def usable(self) -> bool:
@@ -206,13 +208,12 @@ def _generate(run: _Run, statement: TheoremStatement, mode: str, depth: int,
 def _compile_as_generated(session, statement: TheoremStatement, text: str,
                           config: RepairConfig
                           ) -> tuple[CompileResult, SorrifiedScript | None]:
-    """Compile `text` as written.  It is accepted when the compile passes,
-    the text parses, the statement is unchanged and no sorry is left: the
-    test `verify_final` makes, on the same code, since a parsed script's
-    text is `normalize(text)` (an empty body gains a sorry, which rejects
-    it).  Raises ParseError for an unterminated block comment, or for a
-    text that passes but does not parse."""
-    result = check_script(text, session, config.compile_timeout)
+    """Compile `normalize(text)`, the text its parse keeps.  It is accepted
+    when the compile passes, the text parses, the statement is unchanged and
+    no sorry is left (an empty body gains one): `_verdict`'s test for
+    Proved, on the same code.  Raises ParseError for an unterminated block comment, or
+    for a text that passes but does not parse."""
+    result = check_script(normalize(text), session, config.compile_timeout)
     if result.status != PASS:
         return result, None
     script = parse_script(text, statement)
@@ -232,7 +233,7 @@ def _process_candidate(run: _Run, session, statement: TheoremStatement,
         if accepted is not None:
             run.audit.append(depth, "orchestrator", "candidate_pass",
                              f"candidate {index} verified as generated")
-            return _CandidateState(index, accepted, 0, touched, result)
+            return _CandidateState(index, accepted, 0, touched)
 
         if result.status == FAIL and config.enable_syntax_refiner:
             try:
@@ -250,14 +251,18 @@ def _process_candidate(run: _Run, session, statement: TheoremStatement,
                     result, accepted = _compile_as_generated(session, statement,
                                                              text, config)
                     if accepted is not None:
-                        return _CandidateState(index, accepted, 0, touched, result)
+                        return _CandidateState(index, accepted, 0, touched)
 
         if plain_mode:
             return _CandidateState(index, None, -1, touched)
         script = parse_script(text, statement)
         if not statement_matches(script, statement):
             return _CandidateState(index, None, -1, touched)
-        sorrified = sorrify(script, session, config)
+        # the candidate compile is sorrify's first round when it compiled
+        # this very text and came back with an answer
+        reuse = (not touched and script.text == normalize(text)
+                 and result.status not in (TIMEOUT, REPL_CRASH))
+        sorrified = sorrify(script, session, config, result if reuse else None)
     except (ParseError, SorrifyError):
         return _CandidateState(index, None, -1, touched)
     if sorrified.actions:
@@ -345,16 +350,15 @@ def _frame(run: _Run, session, statement: TheoremStatement, depth: int,
     processed: list[_CandidateState] = []
     for index, text in enumerate(candidates):
         state = _process_candidate(run, session, statement, text, index, depth)
-        if state.usable and state.sorries == 0:
-            status, result = ((PROVED, state.verified) if state.verified is not None
-                              else verify_final(state.sorrified.script, session, config))
-            if status == PROVED:
-                if state.touched:
-                    run.assisted = True
-                run.audit.append(depth, "orchestrator", "proved",
-                                 f"{statement.name} via candidate {index}")
-                return _FrameResult(PROVED, state.sorrified.script,
-                                    verify_result=result)
+        # a SorrifiedScript's compile_result is the compile of its text
+        if (state.usable and state.sorries == 0
+                and state.sorrified.compile_result.status == PASS):
+            if state.touched:
+                run.assisted = True
+            run.audit.append(depth, "orchestrator", "proved",
+                             f"{statement.name} via candidate {index}")
+            return _FrameResult(PROVED, state.sorrified.script,
+                                verify_result=state.sorrified.compile_result)
         processed.append(state)
 
     if any(s.touched for s in processed):
@@ -380,7 +384,9 @@ def _frame(run: _Run, session, statement: TheoremStatement, depth: int,
     else:
         script = best.sorrified.script
 
-    status, result = verify_final(script, session, config)
+    status, result = (_verdict(script, best.sorrified.compile_result)
+                      if script.text == best.sorrified.script.text  # nothing spliced in
+                      else verify_final(script, session, config))
     run.audit.append(depth, "orchestrator", "verified",
                      f"{statement.name}: {status}")
     return _FrameResult(status, script, verify_result=result)

@@ -30,6 +30,12 @@ SORRY_MARKER = "declaration uses 'sorry'"
 DEFAULT_TIMEOUT = 300.0
 TIMEOUT_GRACE = 2.0
 
+# printer options that make every goal state carry explicit types; they
+# change how Lean prints terms, never whether a proof checks
+PP_OPTIONS = ("pp.instanceTypes", "pp.numericTypes", "pp.coercions.types",
+              "pp.letVarTypes", "pp.structureInstanceTypes", "pp.mvars.withType",
+              "pp.coercions", "pp.funBinderTypes", "pp.piBinderTypes")
+
 
 @dataclass(frozen=True)
 class Position:
@@ -180,11 +186,16 @@ class _Proc:
 class Session:
     """Exclusive-owner handle on one REPL subprocess.
 
-    The import header is compiled once into a cached environment whose id is
-    threaded into every later check, so Mathlib elaboration is paid once per
-    (re)spawn.  After a Timeout the subprocess is killed and respawned lazily
-    on the next check; a crash mid-check, or a reply that is not JSON, is
-    respawned and retried once.
+    The import header and `set_option … true` for each of PP_OPTIONS are
+    compiled once into a cached environment whose id is threaded into every
+    later check: Mathlib elaboration is paid once per (re)spawn, and every
+    compile prints typed goals.  The REPL runs a command sent with `env`
+    from that env's `CommandSnapshot.cmdState` (`REPL/Snapshots.lean`),
+    whose scopes hold the options (`Scope.opts`, `Lean/Elab/Command.lean`);
+    an unknown option fails the priming as HeaderFailed.  After a Timeout
+    the subprocess is killed and respawned, and so primed, on the next
+    check; a crash mid-check, or a reply that is not JSON, is respawned and
+    retried once.
     """
 
     def __init__(self, command: list[str], project_root: str | None,
@@ -201,9 +212,9 @@ class Session:
     def _spawn_and_prime(self):
         self._proc = _Proc(self.command, self.project_root)
         self._env = None
-        if not self.import_header.strip():
-            return
-        result = self._roundtrip(self.import_header, DEFAULT_TIMEOUT)
+        options = "\n".join(f"set_option {opt} true" for opt in PP_OPTIONS)
+        result = self._roundtrip(f"{self.import_header.rstrip()}\n{options}",
+                                 DEFAULT_TIMEOUT)
         if result.status != PASS:
             self._drop()
             if result.status in (REPL_CRASH, TIMEOUT):
@@ -264,7 +275,8 @@ class Session:
 
 def start_session(repl_executable, project_root=None,
                   import_header: str = "import Mathlib") -> Session:
-    """Spawn a REPL subprocess and prime its import header environment.
+    """Spawn a REPL subprocess and prime its environment: the import header
+    and the pp options.
 
     `repl_executable` may be a path, a shell-style command string, or an
     argv list.

@@ -1,11 +1,10 @@
 """Turn a failing proof into one that compiles with sorry placeholders.
 
-The loop: compile with the pp-option preamble, take the first error by
-position, map it to the smallest enclosing block, apply one repair, repeat.
-Four repairs exist: drop a single bad line, drop a block, collapse a block
-to `:= by sorry`, or insert a `sorry` where goals were left open.  Each is
-a replacement of a range of script lines, and this module decides the
-text it writes.
+The loop: compile, take the first error by position, map it to the
+smallest enclosing block, apply one repair, repeat.  Four repairs exist:
+drop a single bad line, drop a block, collapse a block to `:= by sorry`,
+or insert a `sorry` where goals were left open.  Each is a replacement of
+a range of script lines, and this module decides the text it writes.
 """
 
 from __future__ import annotations
@@ -47,25 +46,6 @@ _UNSOLVED_MARKERS = ("unsolved goals",)
 
 # the monotonic time past which `check_script` compiles nothing more
 DEADLINE: ContextVar[float | None] = ContextVar("deadline", default=None)
-
-_PP_OPTIONS = (
-    "pp.instanceTypes",
-    "pp.numericTypes",
-    "pp.coercions.types",
-    "pp.letVarTypes",
-    "pp.structureInstanceTypes",
-    "pp.mvars.withType",
-    "pp.coercions",
-    "pp.funBinderTypes",
-    "pp.piBinderTypes",
-)
-
-
-def pp_preamble() -> str:
-    """The set_option block prepended to goal-extraction compiles so the
-    printer reports explicit types; never part of assembled output."""
-    return "\n".join(f"set_option {opt} true" for opt in _PP_OPTIONS)
-
 
 @dataclass
 class RepairAction:
@@ -280,25 +260,24 @@ def check_deadline():
         raise BudgetExhausted("per-theorem wall clock limit reached")
 
 
-def check_script(text: str, session, timeout: float,
-                 pp: bool = False) -> CompileResult:
-    """Compile the script `text`, with the pp preamble when `pp`, and
-    return the result with every diagnostic and sorry position in lines of
-    `text`.
+def check_script(text: str, session, timeout: float) -> CompileResult:
+    """Compile the script `text` and return the result with every
+    diagnostic and sorry position in lines of `text`.
 
-    The session's environment already holds the imports, so the leading
-    `import` lines are dropped.  As in Lean, imports come only at the top:
-    blank and comment lines may precede them, and an `import` after any
-    other line is sent as is.  Raises UnterminatedComment when a block
-    comment never closes.
+    The session's environment already holds the imports and the pp
+    options, so the leading `import` lines are dropped and nothing is
+    added: every compile line is a line of `text`.  As in Lean, imports come
+    only at the top: blank and comment lines may precede them, and an
+    `import` after any other line is sent as is.  Raises UnterminatedComment
+    when a block comment never closes.
 
-    A diagnostic on no line of `text` (a preamble line, or one past the end
-    of the code) gets line 0, and its end position there becomes None.
-    Such diagnostics are kept, so that a message placed in the preamble or
-    past the end of the code still reaches the caller.  The sorries are the
-    script's sorry sites in position order: a sorry whose start or end is
-    on no line of `text` can be neither swapped nor spliced, so it is
-    dropped.  The status is the REPL's, so it still counts every sorry.
+    A diagnostic on no line of `text` (one past the end of the code) gets
+    line 0, and its end position there becomes None.  Such diagnostics are
+    kept, so that a message placed past the end still reaches the caller.
+    The sorries are the script's sorry sites in position order: a sorry
+    whose start or end is on no line of `text` can be neither swapped nor
+    spliced, so it is dropped.  The status is the REPL's, so it still
+    counts every sorry.
 
     Once the deadline that `apollo()` sets in DEADLINE has passed, raises
     BudgetExhausted before sending anything.  The compile's own timeout is
@@ -309,8 +288,8 @@ def check_script(text: str, session, timeout: float,
     bound.
     """
     check_deadline()
-    code = pp_preamble().split("\n") if pp else []
-    mapping: list[int | None] = [None] * len(code)  # compile line -> text line
+    code: list[str] = []
+    mapping: list[int] = []  # compile line -> text line
     leading = True
     masked = mask_regions(text).split("\n")
     for no, (line, mline) in enumerate(zip(text.split("\n"), masked), start=1):
@@ -322,7 +301,7 @@ def check_script(text: str, session, timeout: float,
     result = session.check("\n".join(code), timeout)
 
     def at(pos: Position | None) -> Position | None:
-        if pos is None or not 0 < pos.line <= len(mapping) or not mapping[pos.line - 1]:
+        if pos is None or not 0 < pos.line <= len(mapping):
             return None
         return Position(mapping[pos.line - 1], pos.column)
 
@@ -349,10 +328,13 @@ def validate_statement(statement: TheoremStatement, session,
     return result
 
 
-def sorrify(script: ProofScript, session, config: RepairConfig | None = None) -> SorrifiedScript:
+def sorrify(script: ProofScript, session, config: RepairConfig | None = None,
+            first: CompileResult | None = None) -> SorrifiedScript:
     """Repair until the script compiles Pass or PassWithSorries.
 
-    Raises StatementMalformed when errors pin the statement itself, and
+    `first`, when given, is a `check_script` compile of `script.text` made
+    by the caller, and stands for the first round's compile.  Raises
+    StatementMalformed when errors pin the statement itself, and
     Nonterminating if the iteration cap (twice the line count plus eight)
     is ever reached.
     """
@@ -362,8 +344,8 @@ def sorrify(script: ProofScript, session, config: RepairConfig | None = None) ->
     cap = 2 * script.root.line_count(script.text) + 8
 
     for _ in range(cap):
-        result = check_script(serialize(script), session, config.compile_timeout,
-                              pp=True)
+        result = first or check_script(serialize(script), session, config.compile_timeout)
+        first = None
         if result.ok:
             return SorrifiedScript(script, actions, result)
         if result.status != FAIL:

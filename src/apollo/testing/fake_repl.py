@@ -9,8 +9,11 @@ responses carry {"env": id, "messages": [...], "sorries": [...]} with
 The "kernel" is a tiny tactic interpreter:
 
 * `sorry`/`admit` close any goal and record it, rendering the hypotheses
-  in scope followed by a `⊢ target` line (numerals get explicit type
-  ascriptions when the pp set_options are present in the submitted code);
+  in scope followed by a `⊢ target` line; numerals get explicit type
+  ascriptions under the pp options, that is when the command sets
+  `set_option pp.…` or the environment it is sent against was made by one
+  that did (as in Lean, options set by one command hold in every later
+  command sent with its `env`);
 * `rfl`, `trivial`, `assumption`, `exact <hyp>` behave structurally;
   `exact <name>` also sees a theorem proved earlier in the same command,
   never one from another command, since each is sent against the header
@@ -23,6 +26,9 @@ The "kernel" is a tiny tactic interpreter:
 * everything else is resolved against a rule table loaded with --rules:
   entries either close a goal, or step it to a new goal, optionally
   requiring named hypotheses to be in scope.
+
+A declaration that records a sorry gets a `declaration uses 'sorry'`
+warning at its name (at the keyword of an `example`).
 
 Directives for failure-mode tests, anywhere in the submitted code:
 `--#fake_sleep=SECONDS` delays the reply; `--#fake_crash` kills the
@@ -60,6 +66,8 @@ _ANNOT_RE = re.compile(r"\(\s*(\d+(?:\.\d+)?)\s*:\s*[^()]*\)")
 # exponents stay bare: `x ^ 2` keeps its numeral unannotated
 _NUM_RE = re.compile(r"(?<![\w.₀-₉])(?<!\^)(?<!\^ )(\d+)(?![\w.₀-₉])")
 _DECL_RE = re.compile(r"^(theorem|lemma|example)\b")
+# the declaration's name, or its keyword when no name follows on its line
+_DECL_NAME_RE = re.compile(r"\s*(?:(?:theorem|lemma)\s+(?=[^\s:({\[⦃])|(?=\w))([^\s:({\[⦃]+)")
 _HAVE_RE = re.compile(r"^have\s+([^\s:]+)\s*:\s*(.*?):=\s*by\b(.*)$")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'.!?₀-₉]*")
 
@@ -401,6 +409,7 @@ class FakeRepl:
         self.checker = Checker(table)
         self.env_counter = 0
         self.proof_state_counter = 0
+        self.pp_envs: set[int] = set()  # envs whose commands set pp options
 
     # -- rendering --
 
@@ -544,7 +553,7 @@ class FakeRepl:
 
     # -- command handling --
 
-    def handle(self, cmd: str) -> dict:
+    def handle(self, cmd: str, env: int | None = None) -> dict:
         m = re.search(r"--#fake_sleep=([0-9.]+)", cmd)
         if m:
             time.sleep(float(m.group(1)))
@@ -553,8 +562,9 @@ class FakeRepl:
 
         cmd, comments_closed = _blank_block_comments(cmd)
         raw_lines = cmd.split("\n")
-        pp_types = "set_option pp." in cmd
+        pp_types = "set_option pp." in cmd or env in self.pp_envs
         state = TheoremState(pp_types, None, {})
+        warnings = []
         messages = []
         if not comments_closed:
             messages.append(_err(len(raw_lines), len(raw_lines[-1]), "unterminated comment"))
@@ -615,8 +625,17 @@ class FakeRepl:
                         body.append(EvalLine(i + 1, col, cur.strip(), cur))
                     i += 1
                 stmt_text = " ".join(p.strip() for p in stmt_parts)
+                sorries = len(state.sorries)
                 self.eval_theorem(stmt_text, stmt_line, body, inline_tail,
                                   by_line, by_col, raw_by, state)
+                if len(state.sorries) > sorries:
+                    name = _DECL_NAME_RE.match(raw_lines[stmt_line - 1])
+                    warnings.append({
+                        "severity": "warning",
+                        "pos": {"line": stmt_line, "column": name.start(1)},
+                        "endPos": {"line": stmt_line, "column": name.end(1)},
+                        "data": "declaration uses 'sorry'",
+                    })
                 continue
             messages.append(_err(line_no, 0, f"unexpected token '{stripped.split()[0]}'"))
             i += 1
@@ -630,14 +649,10 @@ class FakeRepl:
                 "endPos": {"line": line_no, "column": col + len("hint")},
                 "data": msg,
             })
-        if state.sorries:
-            messages.append({
-                "severity": "warning",
-                "pos": {"line": 1, "column": 0},
-                "endPos": None,
-                "data": "declaration uses 'sorry'",
-            })
+        messages += warnings
 
+        if pp_types:
+            self.pp_envs.add(self.env_counter)
         self.env_counter += 1
         return {"env": self.env_counter - 1, "messages": messages,
                 "sorries": state.sorries}
@@ -709,7 +724,7 @@ def main(argv=None) -> int:
             buf = []
             continue
         buf = []
-        response = repl.handle(request.get("cmd", ""))
+        response = repl.handle(request.get("cmd", ""), request.get("env"))
         sys.stdout.write(json.dumps(response, ensure_ascii=False) + "\n\n")
         sys.stdout.flush()
     return 0

@@ -180,7 +180,7 @@ class _HintRepl:
 
 
 def _stub_sorrified(text, stub):
-    result = check_script(text, stub, 1.0, pp=True)
+    result = check_script(text, stub, 1.0)
     stub.sent.clear()
     return SorrifiedScript(parse_script(text), [], result)
 

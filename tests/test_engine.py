@@ -15,13 +15,22 @@ from apollo.engine import (
 )
 from apollo.llm import GenerationRequest, MockBackend
 from apollo.proofscript import TheoremStatement, count_sorries, parse_script, serialize
-from apollo.repl import PASS, SessionPool, classify, start_session
+from apollo.repl import (
+    PASS,
+    PASS_WITH_SORRIES,
+    REPL_CRASH,
+    TIMEOUT,
+    SessionPool,
+    classify,
+    start_session,
+)
 from apollo.sorrifier import check_script
 from conftest import (
     FIXTURES,
     HEADER_332,
     STATEMENT_332,
     SUITE_CANDIDATES,
+    SUITE_ITEMS,
     fake_repl_cmd,
     suite_statement,
     write_llm_fixtures,
@@ -477,7 +486,7 @@ def test_block_comment_closing_on_a_deeper_line_is_repaired(tmp_path):
         pool.close()
     assert outcome.status == PROVED
     assert "frob" not in serialize(outcome.final_script)
-    assert outcome.ledger.repl_calls == 7  # as with a `--` comment in its place
+    assert outcome.ledger.repl_calls == 5  # as with a `--` comment in its place
 
 
 def test_runaway_refiner_rule_leaves_the_candidate_unrefined(mock_suite, tmp_path):
@@ -571,8 +580,8 @@ def test_item_time_limit_holds_past_the_last_generation(mock_suite, tmp_path):
     assert outcome.failure_reason == "budget_exhausted"
     assert [(e.module, e.action) for e in outcome.audit.events].count(
         ("orchestrator", "budget_exhausted")) == 1
-    # without the limit this theorem is proved in 7 compiles
-    assert 0 < outcome.ledger.repl_calls == spent < 7
+    # without the limit this theorem is proved in 5 compiles
+    assert 0 < outcome.ledger.repl_calls == spent < 5
 
 
 def test_deadline_in_feedback_reentry_keeps_the_first_attempt(mock_suite, tmp_path):
@@ -602,3 +611,97 @@ def test_deadline_in_feedback_reentry_keeps_the_first_attempt(mock_suite, tmp_pa
     assert actions.index(("orchestrator", "feedback_reentry")) < actions.index(
         ("orchestrator", "budget_exhausted"))
     assert actions.count(("orchestrator", "budget_exhausted")) == 1
+
+
+def test_every_reused_compile_equals_a_fresh_compile(mock_suite, monkeypatch):
+    """A compile stands for another only where it compiled the same text:
+    sorrify's first round taken from the candidate compile, and a verdict
+    taken from a SorrifiedScript's compile_result.  Each is compiled again
+    on a fresh session and must answer the same."""
+    reused = []  # (text, result) of every compile that stood for another
+    fresh_verdicts = []  # the results of verify_final's own compiles
+    sorrify, frame, verify = engine.sorrify, engine._frame, engine.verify_final
+
+    def recording_sorrify(script, session, config=None, first=None):
+        if first is not None:
+            reused.append((script.text, first))
+        return sorrify(script, session, config, first)
+
+    def recording_verify(*args, **kwargs):
+        status, result = verify(*args, **kwargs)
+        fresh_verdicts.append(result)
+        return status, result
+
+    def recording_frame(*args, **kwargs):
+        out = frame(*args, **kwargs)
+        if out.verify_result is not None and not any(
+                out.verify_result is fresh for fresh in fresh_verdicts):
+            reused.append((out.script.text, out.verify_result))
+        return out
+
+    monkeypatch.setattr(engine, "sorrify", recording_sorrify)
+    monkeypatch.setattr(engine, "verify_final", recording_verify)
+    monkeypatch.setattr(engine, "_frame", recording_frame)
+
+    runs = [(FIXTURES / "rules_332.json", [(STATEMENT, MockBackend(FIXTURES / "llm_332"),
+                                             RepairConfig(max_depth_r=1, k_per_goal=32))]),
+            (mock_suite["rules"], [(suite_statement(name), MockBackend(mock_suite["llm"]),
+                                    RepairConfig(max_depth_r=3, k_per_goal=4))
+                                   for name in SUITE_ITEMS])]
+    for rules, theorems in runs:
+        reused.clear()
+        pool = SessionPool.build(lambda: start_session(fake_repl_cmd(rules)), 1)
+        try:
+            for statement, backend, config in theorems:
+                apollo(statement, 0, config, backend, pool)
+        finally:
+            pool.close()
+        assert reused
+        session = start_session(fake_repl_cmd(rules))
+        try:
+            for text, result in reused:
+                again = check_script(text, session, 60.0)
+                assert (again.status, again.diagnostics, again.sorries) == (
+                    result.status, result.diagnostics, result.sorries), text
+        finally:
+            session.close()
+
+
+class _Recording:
+    """Passes every compile on to `inner` and keeps the code and status."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sent = []
+
+    @property
+    def checks_issued(self):
+        return self.inner.checks_issued
+
+    def check(self, code, timeout=None):
+        result = self.inner.check(code, timeout)
+        self.sent.append((code, result.status))
+        return result
+
+
+@pytest.mark.parametrize("directive,status", [("--#fake_sleep=5", TIMEOUT),
+                                              ("--#fake_crash", REPL_CRASH)])
+def test_candidate_compile_without_an_answer_is_compiled_again_by_sorrify(
+        directive, status, mock_suite, tmp_path):
+    # the candidate compile times out or crashes; sorrify does not take it
+    # for its first round, but sends the same code once more
+    write_llm_fixtures(tmp_path / "llm", {
+        "thm_auto": directive + "\n" + SUITE_CANDIDATES["thm_auto"]})
+    session = start_session(fake_repl_cmd(mock_suite["rules"]))
+    recording = _Recording(session)
+    try:
+        outcome = apollo(suite_statement("thm_auto"), 0,
+                         RepairConfig(max_depth_r=0, k_per_goal=1, compile_timeout=0.3),
+                         MockBackend(tmp_path / "llm"), SessionPool([recording]))
+    finally:
+        session.close()
+    assert outcome.failure_reason == "all_candidates_malformed"
+    (_, probed), (candidate, first), (again, second) = recording.sent
+    assert (probed, first, second) == (PASS_WITH_SORRIES, status, status)
+    assert again == candidate
+    assert outcome.ledger.repl_calls == 3  # the probe, the candidate, sorrify

@@ -3,8 +3,7 @@
 Each row is a construct that Apollo writes or meets, the code that shows
 it, the reply Lean gives to it, and where in the Lean 4 or Mathlib source
 that reply comes from.  A row pins only what it cites: the other messages
-of the same reply (for example the position of `declaration uses 'sorry'`)
-are left to rows of their own.
+of the same reply are left to rows of their own.
 """
 
 from dataclasses import dataclass
@@ -33,6 +32,12 @@ HINT_SOURCE = (
     "the `Try these:` message with `logInfoAt` at that syntax, so it spans "
     "the `hint` token")
 
+SORRY_SOURCE = (
+    "Lean/AddDecl.lean: `addDecl` logs `declaration uses 'sorry'` with "
+    "`logWarning` at the current ref, which the declaration's elaboration "
+    "has set to its name; the leanprover-community/repl README shows it "
+    "for `def f : Nat := by sorry` at line 1, columns 4 to 5")
+
 ROWS = [
     Row("hint suggestions, on a line of their own",
         "theorem t : G2 := by\n  hint\n",
@@ -45,6 +50,13 @@ ROWS = [
     Row("hint with nothing to suggest",
         "theorem t : 1 = 1 := by\n  have h : G3 := by\n    hint\n  rfl\n",
         "hint found no applicable tactics", "info", (3, 4), (3, 8), HINT_SOURCE),
+    Row("a sorry, warned at the declaration's name",
+        "theorem t : 1 = 1 := by\n  sorry\n",
+        "declaration uses 'sorry'", "warning", (1, 8), (1, 9), SORRY_SOURCE),
+    Row("a sorry in a declaration after a comment line",
+        "-- the first line\ntheorem two_eq (x : ℕ) : x = x := by\n"
+        "  have h : 1 = 1 := by sorry\n  rfl\n",
+        "declaration uses 'sorry'", "warning", (2, 8), (2, 14), SORRY_SOURCE),
 ]
 
 
@@ -56,3 +68,24 @@ def test_fake_replies_as_lean(row):
     assert message["severity"] == row.severity
     assert (message["pos"]["line"], message["pos"]["column"]) == row.pos
     assert (message["endPos"]["line"], message["endPos"]["column"]) == row.end_pos
+
+
+def test_options_hold_in_commands_sent_with_their_env():
+    """Row: options set by one command hold in a later command sent with
+    its env, and not in a command sent without one.
+
+    leanprover-community/repl `REPL/Snapshots.lean`: a command sent with
+    `env` runs from that env's `CommandSnapshot.cmdState`;
+    `Lean/Elab/Command.lean`: `set_option` writes `Scope.opts` of that
+    state."""
+    repl = FakeRepl(RuleTable())
+    primed = repl.handle("import Mathlib\nset_option pp.numericTypes true")["env"]
+    code = "theorem t (x : ℝ) : x + 2 = 2 + x := by\n  sorry"
+    (typed,) = repl.handle(code, primed)["sorries"]
+    assert typed["goal"] == "x : ℝ\n⊢ x + (2 : ℝ) = (2 : ℝ) + x"
+    # and in a command sent against that command's own env
+    later = repl.handle("theorem u : 1 = 1 := by rfl", primed)["env"]
+    (again,) = repl.handle(code, later)["sorries"]
+    assert again["goal"] == typed["goal"]
+    (bare,) = repl.handle(code)["sorries"]
+    assert bare["goal"] == "x : ℝ\n⊢ x + 2 = 2 + x"

@@ -11,6 +11,7 @@ from apollo.repl import (
     FAIL,
     PASS,
     PASS_WITH_SORRIES,
+    PP_OPTIONS,
     REPL_CRASH,
     TIMEOUT,
     TIMEOUT_GRACE,
@@ -95,6 +96,17 @@ def test_unterminated_block_comment_fails(plain_session):
 def test_block_comment_keeps_positions(plain_session):
     result = plain_session.check("theorem t : 1 = 1 := by\n  /- a\n  b -/\n  foo_bar")
     assert [(e.pos.line, e.pos.column) for e in result.errors] == [(4, 2)]
+
+
+TYPED_GOAL_CODE = "theorem t (x : ℝ) : x + 2 = 2 + x := by\n  sorry"
+
+
+def test_priming_sets_nine_distinct_pp_options(plain_session):
+    assert len(set(PP_OPTIONS)) == 9
+    assert all(opt.startswith("pp.") for opt in PP_OPTIONS)
+    # the code carries no option, the session's environment does
+    (sorry,) = plain_session.check(TYPED_GOAL_CODE).sorries
+    assert sorry.goal == "x : ℝ\n⊢ x + (2 : ℝ) = (2 : ℝ) + x"
 
 
 def test_unknown_import_header():
@@ -198,6 +210,18 @@ def test_timeout_contract_and_recovery():
         session.close()
 
 
+def test_respawn_after_a_timeout_primes_the_pp_options_again():
+    session = start_session(fake_repl_cmd())
+    try:
+        timed_out = session.check("--#fake_sleep=10\ntheorem t : 1 = 1 := by rfl",
+                                  timeout=0.2)
+        assert timed_out.status == TIMEOUT
+        (sorry,) = session.check(TYPED_GOAL_CODE).sorries
+        assert "(2 : ℝ)" in sorry.goal
+    finally:
+        session.close()
+
+
 def test_crash_is_retried_then_surfaced_and_recovered():
     session = start_session(fake_repl_cmd())
     try:
@@ -243,18 +267,26 @@ def test_one_in_flight_request_per_session(plain_session):
     assert elapsed >= 0.6  # serialized, not interleaved
 
 
-# answers every request with a line that is not JSON
+# answers a priming request that sets the pp options with an environment,
+# and every later request with a line that is not JSON
 NOT_JSON_REPL = [sys.executable, "-c", (
     "import sys\n"
+    "request, primed = '', False\n"
     "for line in sys.stdin:\n"
-    "    if not line.strip():\n"
+    "    request += line\n"
+    "    if line.strip():\n"
+    "        continue\n"
+    "    if not primed and 'set_option pp.piBinderTypes true' in request:\n"
+    "        sys.stdout.write('{\"env\": 0}\\n\\n')\n"
+    "    else:\n"
     "        sys.stdout.write('not json\\n\\n')\n"
-    "        sys.stdout.flush()\n"
+    "    sys.stdout.flush()\n"
+    "    request, primed = '', True\n"
 )]
 
 
 def test_undecodable_reply_is_repl_crash():
-    session = start_session(NOT_JSON_REPL, import_header="")
+    session = start_session(NOT_JSON_REPL)
     try:
         result = session.check("theorem t : 1 = 1 := by rfl", timeout=10)
         assert result.status == REPL_CRASH

@@ -19,7 +19,6 @@ from apollo.sorrifier import (
     apply_action,
     check_script,
     choose_repair,
-    pp_preamble,
     replay_actions,
     sorrify,
     validate_statement,
@@ -361,14 +360,6 @@ def test_validate_statement_accepts_and_rejects(plain_session):
         validate_statement(bad, plain_session)
 
 
-def test_pp_preamble_has_nine_distinct_options():
-    lines = pp_preamble().split("\n")
-    assert len(lines) == 9
-    assert len(set(lines)) == 9
-    assert all(ln.startswith("set_option pp.") and ln.endswith(" true")
-               for ln in lines)
-
-
 class _CannedReplySession:
     """Answers every request with one fixed REPL reply."""
 
@@ -388,8 +379,8 @@ def _message(severity, line, column, end=None, data="boom"):
 
 
 def test_check_script_reports_script_lines():
-    # script lines 1-2 are imports, never sent; under the 9-line pp
-    # preamble, script lines 3..6 are compile lines 10..13
+    # script lines 1-2 are imports, never sent, and nothing is added: script
+    # lines 3..6 are compile lines 1..4
     text = ("import Mathlib\nimport Aesop\n\n"
             "theorem t : 2 + 2 = 4 := by\n"
             "  have h : 1 + 1 = 2 := by sorry\n"
@@ -398,30 +389,30 @@ def test_check_script_reports_script_lines():
     reply = {
         "env": 1,
         "messages": [
-            _message("error", 2, 0, end=(3, 4), data="in the preamble"),
-            _message("error", 13, 2, end=(13, 14)),
+            _message("warning", 2, 8, end=(2, 9), data="declaration uses 'sorry'"),
+            _message("error", 4, 2, end=(4, 14)),
             _message("info", 20, 0, end=(21, 0), data="past the end"),
         ],
-        "sorries": [{"pos": {"line": 12, "column": col},
+        "sorries": [{"pos": {"line": 3, "column": col},
+                     "endPos": {"line": 3, "column": col + 5},
+                     "goal": "⊢ 1 + 1 = 2", "proofState": 0},
+                    {"pos": {"line": 12, "column": col},
                      "endPos": {"line": 12, "column": col + 5},
-                     "goal": "⊢ 1 + 1 = 2", "proofState": 0}],
+                     "goal": "past the end", "proofState": 1}],
     }
-    result = check_script(text, _CannedReplySession(reply), 5.0, pp=True)
+    session = _CannedReplySession(reply)
+    result = check_script(text, session, 5.0)
 
-    preamble, tactic, past_end = result.diagnostics
-    assert (preamble.pos, preamble.end_pos) == (Position(0, 0), None)
-    assert (past_end.pos, past_end.end_pos) == (Position(0, 0), None)
+    assert session.sent == ["\ntheorem t : 2 + 2 = 4 := by\n"
+                            "  have h : 1 + 1 = 2 := by sorry\n"
+                            "  bogus_tactic\n"]
+    warning, tactic, past_end = result.diagnostics
+    assert (warning.pos, warning.end_pos) == (Position(4, 8), Position(4, 9))
     assert (tactic.pos, tactic.end_pos) == (Position(6, 2), Position(6, 14))
-    assert [m.message for m in result.diagnostics] == [
-        "in the preamble", "boom", "past the end"]
-    (sorry,) = result.sorries
+    assert (past_end.pos, past_end.end_pos) == (Position(0, 0), None)
+    (sorry,) = result.sorries  # the one past the end is no site
     assert (sorry.pos, sorry.end_pos) == (Position(5, col), Position(5, col + 5))
     assert result.status == FAIL
-
-    # without the preamble, compile line 1 is script line 3
-    bare = check_script(text, _CannedReplySession(reply), 5.0)
-    assert bare.sorries == []  # compile line 12 is past the end: no site
-    assert bare.diagnostics[0].pos.line == 4
 
 
 def test_check_script_returns_sites_in_position_order():
@@ -468,14 +459,6 @@ def test_check_script_raises_on_unterminated_comment_before_compiling():
         check_script("theorem t : 1 = 1 := by\n  rfl\n/- unclosed\n",
                      session, 5.0)
     assert session.sent == []
-
-
-def test_goal_text_annotated_only_under_preamble(plain_session):
-    code = "theorem t (x : ℝ) : x + 2 = 2 + x := by\n  sorry"
-    bare = plain_session.check(code)
-    assert "(2 : ℝ)" not in bare.sorries[0].goal
-    annotated = plain_session.check(pp_preamble() + "\n" + code)
-    assert "(2 : ℝ)" in annotated.sorries[0].goal
 
 
 def test_sorrify_iterations_strictly_progress(plain_session):
