@@ -1,10 +1,11 @@
 """Turn a failing proof into one that compiles with sorry placeholders.
 
-The loop: compile, take the first error by position, map it to the
-smallest enclosing block, apply one repair, repeat.  Four repairs exist:
-drop a single bad line, drop a block, collapse a block to `:= by sorry`,
-or insert a `sorry` where goals were left open.  Each is a replacement of
-a range of script lines, and this module decides the text it writes.
+The loop runs in rounds: compile, map each error in position order to its
+enclosing block and repair while the repairs leave what later lines see,
+apply them bottom-up, repeat.  Four repairs exist: drop a single bad line,
+drop a block, collapse a block to `:= by sorry`, or insert a `sorry` where
+goals were left open.  Each is a replacement of a range of script lines,
+and this module decides the text it writes.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ REMOVE_LINE = "remove_line"
 REMOVE_BLOCK = "remove_block"
 REPLACE_BLOCK_WITH_SORRY = "replace_block_with_sorry"
 INSERT_SORRY = "insert_sorry"
-
-_UNSOLVED_MARKERS = ("unsolved goals",)
 
 # the monotonic time past which `check_script` compiles nothing more
 DEADLINE: ContextVar[float | None] = ContextVar("deadline", default=None)
@@ -81,10 +80,6 @@ def replay_actions(script: ProofScript, actions: list[RepairAction]) -> ProofScr
     for action in actions:
         script = apply_action(script, action)
     return script
-
-
-def _is_unsolved(diag: Diagnostic) -> bool:
-    return any(marker in diag.message for marker in _UNSOLVED_MARKERS)
 
 
 def _node_key(script: ProofScript, path: tuple[int, ...]):
@@ -203,7 +198,7 @@ def choose_repair(diag: Diagnostic, script: ProofScript, attempt_history: dict) 
     """
     line = diag.pos.line
 
-    if _is_unsolved(diag):
+    if "unsolved goals" in diag.message:
         return _insert_action(script, diag)
 
     if line < script.body_start_line:
@@ -328,22 +323,37 @@ def validate_statement(statement: TheoremStatement, session,
     return result
 
 
+def _keeps_names(action: RepairAction, diag: Diagnostic, script: ProofScript) -> bool:
+    """An inserted `sorry`, or a block collapsed to its header through `:=`
+    for an error after that `:=`: later lines still see the same names."""
+    if action.kind == INSERT_SORRY:
+        return True
+    text, masked = script.line(action.first)
+    cut = masked.find(":=") + 2
+    return (action.kind == REPLACE_BLOCK_WITH_SORRY and cut > 1
+            and action.lines[0][:cut] == text[:cut]
+            and (diag.pos.line, diag.pos.column) >= (action.first, cut))
+
+
 def sorrify(script: ProofScript, session, config: RepairConfig | None = None,
             first: CompileResult | None = None) -> SorrifiedScript:
-    """Repair until the script compiles Pass or PassWithSorries.
+    """Repair in rounds until the script compiles Pass or PassWithSorries.
 
+    A round takes one compile's errors in position order and skips one on a
+    line it rewrites.  It ends before a repair that meets or starts where an
+    earlier one does, or whose error has no enclosing block, and after one
+    that `_keeps_names` rejects.  `actions` keeps each round bottom-up.
     `first`, when given, is a `check_script` compile of `script.text` made
     by the caller, and stands for the first round's compile.  Raises
-    StatementMalformed when errors pin the statement itself, and
-    Nonterminating if the iteration cap (twice the line count plus eight)
-    is ever reached.
+    StatementMalformed when a round's first error pins the statement, and
+    Nonterminating at the cap on repairs (twice the line count plus eight).
     """
     config = config or RepairConfig()
     actions: list[RepairAction] = []
     history: dict = {}
     cap = 2 * script.root.line_count(script.text) + 8
 
-    for _ in range(cap):
+    while len(actions) < cap:
         result = first or check_script(serialize(script), session, config.compile_timeout)
         first = None
         if result.ok:
@@ -351,18 +361,31 @@ def sorrify(script: ProofScript, session, config: RepairConfig | None = None,
         if result.status != FAIL:
             raise SorrifyError(f"compile ended with status {result.status}")
 
-        placed = [d for d in result.errors if d.pos.line > 0]
+        placed = sorted((d for d in result.errors if d.pos.line > 0),
+                        key=lambda d: (d.pos.line, d.pos.column))
         if not placed:
             raise SorrifyError("compile failed with no mappable diagnostics")
-        diag = min(placed, key=lambda d: (d.pos.line, d.pos.column))
-        try:
-            action = choose_repair(diag, script, history)
-        except NoEnclosingNode:
-            raise StatementMalformed([diag]) from None
-        history.setdefault(action.block, []).append(action.kind)
-        log.debug("sorrify: %s at lines %d..%d for %r", action.kind, action.first,
-                  action.last, diag.message.splitlines()[0])
-        script = apply_action(script, action)
-        actions.append(action)
+        repairs: list[RepairAction] = []
+        for diag in placed:
+            if any(a.first <= diag.pos.line <= a.last for a in repairs):
+                continue
+            try:
+                action = choose_repair(diag, script, history)
+            except NoEnclosingNode:
+                if repairs:
+                    break
+                raise StatementMalformed([diag]) from None
+            if any(action.first <= a.last and a.first <= action.last
+                   or action.first == a.first for a in repairs):
+                break
+            history.setdefault(action.block, []).append(action.kind)
+            log.debug("sorrify: %s at lines %d..%d for %r", action.kind, action.first,
+                      action.last, diag.message.splitlines()[0])
+            repairs.append(action)
+            if len(actions) + len(repairs) == cap or not _keeps_names(action, diag, script):
+                break
+        repairs.sort(key=lambda a: (a.first, a.last), reverse=True)
+        script = replay_actions(script, repairs)
+        actions += repairs
 
     raise Nonterminating(f"no fixpoint after {cap} repairs")

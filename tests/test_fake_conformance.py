@@ -89,3 +89,43 @@ def test_options_hold_in_commands_sent_with_their_env():
     assert again["goal"] == typed["goal"]
     (bare,) = repl.handle(code)["sorries"]
     assert bare["goal"] == "x : ℝ\n⊢ x + 2 = 2 + x"
+
+
+NESTED_BY_SOURCE = (
+    "Lean/Elab/Term.lean: a term whose elaboration throws, the nested "
+    "`by` block of a `have` among them, is logged and replaced by `sorry` "
+    "under `errToSorry` (`exceptionToSorry`), so the enclosing tactic block "
+    "goes on with the `have`'s hypothesis bound; a tactic sequence throws at "
+    "its first failing tactic and runs none after it.  Unverified here "
+    "against Lean, which is not installed")
+
+
+def _errors(reply):
+    return [((m["pos"]["line"], m["pos"]["column"]), m["data"])
+            for m in reply["messages"] if m["severity"] == "error"]
+
+
+def test_errors_in_independent_have_blocks_come_from_one_compile():
+    """Row: a failed nested `have … := by` block is logged and closed, and
+    the proof goes on with its hypothesis bound: one compile reports the
+    error of each block, and the second block's `exact p` sees `p`
+    (a type mismatch, not an unknown identifier).  Sorrify's rounds repair
+    every such block from one compile.  Source: NESTED_BY_SOURCE."""
+    reply = FakeRepl(RuleTable()).handle(
+        "theorem t : 2 + 2 = 4 := by\n"
+        "  have p : 1 = 1 := by\n    exact h_missing\n"
+        "  have q : 2 = 2 := by\n    exact p\n"
+        "  norm_num\n")
+    assert _errors(reply) == [((3, 4), "unknown identifier 'h_missing'"),
+                              ((5, 4), "type mismatch in exact")]
+
+
+def test_a_tactic_block_reports_only_its_first_error():
+    """Row: a tactic sequence stops at its first error, and the block's
+    goal is closed by the recovery above, so neither the later tactic nor
+    `unsolved goals` is reported.  Source: NESTED_BY_SOURCE."""
+    reply = FakeRepl(RuleTable()).handle(
+        "theorem t : 1 = 1 := by\n"
+        "  have h : 2 = 2 := by\n    exact h_one\n    exact h_two\n"
+        "  rfl\n")
+    assert _errors(reply) == [((3, 4), "unknown identifier 'h_one'")]

@@ -1,6 +1,12 @@
 import pytest
 
-from apollo.errors import StatementMalformed, UnterminatedComment
+from apollo import sorrifier
+from apollo.errors import (
+    NoEnclosingNode,
+    Nonterminating,
+    StatementMalformed,
+    UnterminatedComment,
+)
 from apollo.proofscript import count_sorries, parse_script, serialize
 from apollo.repl import (
     FAIL,
@@ -23,7 +29,7 @@ from apollo.sorrifier import (
     sorrify,
     validate_statement,
 )
-from conftest import corpus_scripts, fake_repl_cmd
+from conftest import CORPUS, SUITE_CANDIDATES, corpus_scripts, fake_repl_cmd
 
 # Broken proofs the loop must always land in Pass / PassWithSorries.
 ADVERSARIAL = {
@@ -184,6 +190,41 @@ POSTCONDITION_INPUTS = (
                     id=path.name) for path in corpus_scripts()])
 
 
+def sequential_sorrify(script, session):
+    """The loop that rounds replaced, kept as the reference: compile, repair
+    the first error by position, repeat.  Returns the script, the actions,
+    the last compile's status and the compiles made."""
+    before = session.checks_issued
+    actions, history = [], {}
+    for _ in range(2 * script.root.line_count(script.text) + 8):
+        result = check_script(serialize(script), session, 300.0)
+        if result.ok:
+            return script, actions, result.status, session.checks_issued - before
+        diag = min((d for d in result.errors if d.pos.line > 0),
+                   key=lambda d: (d.pos.line, d.pos.column))
+        try:
+            action = choose_repair(diag, script, history)
+        except NoEnclosingNode:
+            raise StatementMalformed([diag]) from None
+        history.setdefault(action.block, []).append(action.kind)
+        script = apply_action(script, action)
+        actions.append(action)
+    raise Nonterminating("no fixpoint")
+
+
+def _summary(script, actions, status, compiles):
+    return serialize(script), sorted(a.kind for a in actions), status, compiles
+
+
+def _rounds_and_reference(script, session):
+    """`sorrify(script, session)`, and it and the reference loop each summed
+    up as `(text, sorted kinds, status, compiles)`."""
+    reference = _summary(*sequential_sorrify(script, session))
+    before = session.checks_issued
+    out = sorrify(script, session)
+    return out, _summary(out.script, out.actions, out.compile_result.status,
+                         session.checks_issued - before), reference
+
 @pytest.fixture(scope="module")
 def module_session():
     session = start_session(fake_repl_cmd())
@@ -195,19 +236,22 @@ def module_session():
 def test_sorrify_postcondition(source, malformed, module_session):
     script = parse_script(source)
     if malformed:
-        with pytest.raises(StatementMalformed):
-            sorrify(script, module_session)
+        for repair in (sorrify, sequential_sorrify):
+            with pytest.raises(StatementMalformed):
+                repair(script, module_session)
         return
     node_count = sum(1 for _ in script.walk())
     cap = 2 * script.root.line_count(script.text) + 8
 
-    out = sorrify(script, module_session)
+    out, rounds, reference = _rounds_and_reference(script, module_session)
 
     assert out.compile_result.status in (PASS, PASS_WITH_SORRIES)
     assert len(out.actions) <= cap
     assert count_sorries(out.script) <= node_count
     replayed = replay_actions(script, out.actions)
     assert serialize(replayed) == serialize(out.script)
+    # the repairs of one repair per compile, in no more compiles
+    assert rounds[:3] == reference[:3] and rounds[3] <= reference[3]
 
 
 def test_already_valid_proof_zero_actions(plain_session):
@@ -263,13 +307,13 @@ def test_choose_repair_line_first_then_block():
 def test_inline_have_on_the_statement_line_sorrifies(plain_session):
     # the root's `unsolved goals` sits at the statement's `by`, left of the
     # inline `have`: its sorry ends the root block, and the `have`'s own
-    # error then drops the tactic from the statement's line
+    # error drops the tactic from the statement's line in the same round
     before = plain_session.checks_issued
     out = sorrify(parse_script(ADVERSARIAL["inline_have_on_statement_line"]),
                   plain_session)
     assert out.compile_result.status == PASS_WITH_SORRIES
     assert [a.kind for a in out.actions] == [INSERT_SORRY, REMOVE_LINE]
-    assert plain_session.checks_issued - before == 3
+    assert plain_session.checks_issued - before == 2
 
 
 def test_choose_repair_unsolved_inserts_sorry():
@@ -463,8 +507,80 @@ def test_check_script_raises_on_unterminated_comment_before_compiling():
 
 def test_sorrify_iterations_strictly_progress(plain_session):
     script = parse_script(ADVERSARIAL["three_broken_haves"])
-    out = sorrify(script, plain_session)
-    # each broken have takes exactly one action: straight to block collapse
+    out, rounds, reference = _rounds_and_reference(script, plain_session)
+    # each broken have takes exactly one action: straight to block collapse,
+    # all three from the first compile where one repair per compile needs three
     assert len(out.actions) == 3
     assert all(a.kind == REPLACE_BLOCK_WITH_SORRY for a in out.actions)
     assert count_sorries(out.script) == 3
+    assert rounds[:3] == reference[:3] and (rounds[3], reference[3]) == (2, 4)
+
+
+@pytest.fixture(scope="module")
+def suite_session(mock_suite):
+    session = start_session(fake_repl_cmd(mock_suite["rules"]))
+    yield session
+    session.close()
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_CANDIDATES))
+def test_rounds_repair_the_mock_suite_as_the_sequential_loop(name, suite_session):
+    script = parse_script(SUITE_CANDIDATES[name].replace(" from by", " := by"))
+    _, rounds, reference = _rounds_and_reference(script, suite_session)
+    assert rounds[:3] == reference[:3] and rounds[3] <= reference[3]
+
+
+def test_a_have_with_a_broken_statement_ends_its_round(plain_session):
+    # the collapse keeps the header whose own error stays, so the `exact`
+    # that uses the `have` waits for the next compile: no extra repair
+    source = (CORPUS / "014_unsolved_sorry.lean").read_text(encoding="utf-8")
+    _, rounds, reference = _rounds_and_reference(parse_script(source), plain_session)
+    assert rounds == reference
+    assert rounds[1] == sorted([REPLACE_BLOCK_WITH_SORRY, REMOVE_LINE, REMOVE_LINE])
+
+
+class _ErrorLineSession:
+    """Fails a compile with an error at the end of each code line that
+    `broken(line_no, line)` picks, and passes one where it picks none."""
+
+    def __init__(self, broken):
+        self.broken = broken
+        self.checks_issued = 0
+
+    def check(self, code, timeout=None):
+        self.checks_issued += 1
+        messages = [_message("error", no, max(len(line) - 1, 0))
+                    for no, line in enumerate(code.split("\n"), start=1)
+                    if self.broken(no, line)]
+        return classify({"env": 1, "messages": messages, "sorries": []})
+
+
+def test_a_removed_block_ends_its_round():
+    # both `case` blocks fail in the first compile, but the second waits
+    # for the next compile: a removed block may hold what later lines use
+    session = _ErrorLineSession(lambda no, line: "frob" in line)
+    out = sorrify(parse_script("theorem t : 1 = 1 := by\n  constructor\n"
+                               "  case left =>\n    frob\n"
+                               "  case right =>\n    frob\n  rfl\n"), session)
+    assert [a.kind for a in out.actions] == [REMOVE_BLOCK, REMOVE_BLOCK]
+    assert session.checks_issued == 3
+    assert out.compile_result.status == PASS
+
+
+def test_sorrify_raises_nonterminating_at_the_repair_cap(monkeypatch):
+    # every body line fails in every compile, so no round ever passes; the
+    # errors sit after each `:=`, so some rounds take several repairs
+    repairs = []
+
+    def counting_apply(script, action):
+        repairs.append(action)
+        return apply_action(script, action)
+
+    monkeypatch.setattr(sorrifier, "apply_action", counting_apply)
+    session = _ErrorLineSession(lambda no, line: no > 1 and line.strip())
+    script = parse_script(ADVERSARIAL["three_broken_haves"])
+    cap = 2 * script.root.line_count(script.text) + 8
+    with pytest.raises(Nonterminating):
+        sorrify(script, session)
+    assert len(repairs) == cap and session.checks_issued <= cap
+    assert len(repairs) > session.checks_issued  # rounds of more than one
