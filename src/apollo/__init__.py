@@ -1,21 +1,8 @@
-"""Apollo: compiler-guided repair of LLM-generated Lean 4 proofs."""
+"""Apollo: compiler-guided repair of LLM-generated Lean 4 proofs.
 
-from .config import BudgetLedger, RepairConfig
-from .engine import FAILED, PARTIAL_WITH_SORRIES, PROVED, Outcome, apollo
-from .proofscript import ProofScript, TheoremStatement, parse_script, serialize
-
-__all__ = [
-    "BudgetLedger",
-    "RepairConfig",
-    "Outcome",
-    "apollo",
-    "ProofScript",
-    "TheoremStatement",
-    "parse_script",
-    "serialize",
-    "PROVED",
-    "PARTIAL_WITH_SORRIES",
-    "FAILED",
-]
+The package imports nothing, so `python -m apollo.testing.fake_repl` starts
+on the standard library alone.  The entry points are `apollo.cli.main`,
+`apollo.engine.apollo` and `apollo.proofscript.parse_script`.
+"""
 
 __version__ = "0.1.0"

@@ -20,6 +20,8 @@ from .sorrifier import validate_statement
 _IDENT_RE = re.compile(r"^[^\s:(){}\[\]⟨⟩,]+$")
 _MVAR_RE = re.compile(r"\?\w")
 _INACCESSIBLE = "✝"
+# Lean's superscript disambiguators (`h✝¹`) are not identifier characters
+_NOT_IN_FRESH = str.maketrans("", "", "✝⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def extract_goal(sorry_info, script: ProofScript, ordinal: int) -> GoalContext:
         names, type_text = _split_hypothesis(line)
         for name in names:
             if _INACCESSIBLE in name:
-                base = name.replace(_INACCESSIBLE, "") or "h"
+                base = name.translate(_NOT_IN_FRESH) or "h"
                 fresh = f"{base}_inacc{len(renames)}"
                 renames[name] = fresh
                 name = fresh
@@ -108,10 +110,12 @@ def extract_goal(sorry_info, script: ProofScript, ordinal: int) -> GoalContext:
         seen.add(name)
 
     if renames:
+        # whole names in one pass: `h✝` is not renamed inside `h✝¹` or `ha✝`
+        names_re = re.compile(r"(?<![\w'])(?:{})(?![\w'])".format(
+            "|".join(map(re.escape, sorted(renames, key=len, reverse=True)))))
+
         def rename(text: str) -> str:
-            for old, new in renames.items():
-                text = text.replace(old, new)
-            return text
+            return names_re.sub(lambda m: renames[m.group()], text)
 
         hypotheses = [(n, rename(t)) for n, t in hypotheses]
         target = rename(target)

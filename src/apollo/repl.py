@@ -299,7 +299,15 @@ class SessionPool:
 
     @classmethod
     def build(cls, factory, size: int) -> "SessionPool":
-        return cls([factory() for _ in range(size)])
+        """When a session fails to start, closes those already started."""
+        sessions: list = []
+        try:
+            for _ in range(size):
+                sessions.append(factory())
+        except BaseException:
+            cls(sessions).close()
+            raise
+        return cls(sessions)
 
     @contextmanager
     def lease(self):

@@ -34,8 +34,12 @@ Directives for failure-mode tests, anywhere in the submitted code:
 `--#fake_sleep=SECONDS` delays the reply; `--#fake_crash` kills the
 process without replying.
 
-This module is intentionally self-contained (stdlib only) so that it can
-serve as an independent oracle for the rest of the package.
+This module imports the standard library alone, so that it can serve as
+an independent oracle for the rest of the package; and since neither
+`apollo/__init__.py` nor `apollo/testing/__init__.py` imports anything,
+`python -m apollo.testing.fake_repl` loads no pipeline module and starts
+in about the time of a bare interpreter (`tests/test_imports.py` holds
+both to it).
 
 Usage: python3 -m apollo.testing.fake_repl [--rules rules.json]
 """

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from apollo.errors import SiteVanished, StatementRejected, UnparseableGoal
@@ -56,6 +58,21 @@ def test_extract_renames_inaccessible_names():
     renamed = names[0]
     assert ctx.hypotheses[1][1] == f"{renamed} > 0"
     assert ctx.target == f"{renamed} ≠ 0"
+
+
+def test_extract_renames_whole_inaccessible_names_only():
+    # `h✝` must not be rewritten inside `h✝¹`, nor `a✝` inside `ha✝`, and
+    # the superscript digit Lean adds is not an identifier character
+    goal = "a✝ : ℕ\nha✝ : a✝ > 0\nh✝ : 0 < a✝\nh✝¹ : a✝ ≠ 1\n⊢ a✝ + h✝¹.elim = 2"
+    ctx = extract_goal(_info(goal), PARENT, 1)
+    bound = {n for n, _ in ctx.hypotheses}
+    texts = [t for _, t in ctx.hypotheses] + [ctx.target]
+    assert len(bound) == 4
+    for text in [*bound, *texts]:
+        assert not re.search("[✝⁰¹²³⁴⁵⁶⁷⁸⁹]", text), text
+    for text in texts:
+        assert set(re.findall(r"(?<![\w'.])[^\W\d][\w']*", text)) <= bound | {"ℕ"}, text
+    assert ctx.target == "a_inacc0 + h_inacc3.elim = 2"
 
 
 def test_fresh_name_avoids_collisions():

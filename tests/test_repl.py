@@ -318,3 +318,23 @@ def test_session_pool_exclusive_leases():
             assert id(again) in seen
     finally:
         pool.close()
+
+
+def test_session_pool_build_closes_started_sessions_when_one_fails():
+    class Stub:
+        closed = False
+
+        def close(self):
+            self.closed = True
+
+    built = []
+
+    def factory():
+        if built:
+            raise SpawnFailed("second session failed to start")
+        built.append(Stub())
+        return built[-1]
+
+    with pytest.raises(SpawnFailed):
+        SessionPool.build(factory, 3)
+    assert len(built) == 1 and built[0].closed
