@@ -3,13 +3,22 @@
 The sites are the sorries of `check_script`, in position order.  One `hint`
 wave asks Lean for every site's suggestions at once: `hint` in place of
 each sorry, one compile, and each site's suggestions read from the info
-message at its own `hint` token.  Then each site is attacked in turn: a
-trial of each suggestion in order, then a fixed suite of finishing tactics,
-then two-step combinations.  A site the wave left unanswered gets its own
-`hint` probe first.  Each trial is one compile of an edited text, never
-parsed, and the first candidate that closes the site is committed: its
-trial compile shows strictly fewer sorries and no new errors, so a failing
-or timed-out candidate can never damage the script.
+message at its own `hint` token.  Each site's ladder is its suggestions,
+then a fixed suite of finishing tactics, then two-step combinations.
+
+Then the trials run in waves.  A wave is one compile of an edited text,
+never parsed: every open site holds the next untried candidate of its own
+ladder.  Under Lean a failing nested `by` block is logged and recovered,
+so a site's verdict is read from the errors inside its own tactic
+sequence: the inline `have … := by` line it sits on, or the `have` or
+`case` block around it, or else the proof body.  The first candidate that
+closes a site is committed.  A site whose sequence an earlier error cut
+short, or that shares its sequence with an earlier open site, tries the
+same candidate again.  Anything a wave cannot pin on one site (a timeout,
+a crash, a `maxHeartbeats` error, a site `hint` left unanswered, a wave
+that decides nothing) narrows the waves to width one: only the earliest
+open site is swapped, and every error is its own.  A failing or timed-out
+candidate is never committed, so it cannot damage the script.
 """
 
 from __future__ import annotations
@@ -19,8 +28,16 @@ import re
 from dataclasses import dataclass
 
 from .config import RepairConfig
-from .proofscript import ProofScript, parse_script, replace_lines
-from .repl import CompileResult, Diagnostic, SorryInfo
+from .proofscript import (
+    KIND_CASE,
+    KIND_HAVE,
+    KIND_TACTIC,
+    ProofBlock,
+    ProofScript,
+    parse_script,
+    replace_lines,
+)
+from .repl import REPL_CRASH, TIMEOUT, CompileResult, Diagnostic, Position, SorryInfo
 from .sorrifier import SorrifiedScript, check_script
 
 log = logging.getLogger(__name__)
@@ -86,21 +103,30 @@ def parse_hint_suggestions(diagnostics: list[Diagnostic]) -> list[str]:
     return suggestions
 
 
-def _swap(text: str, site: SorryInfo, tactic: str) -> str:
-    """`text` with the sorry token at `site`, on one line, replaced by `tactic`."""
-    line = text.split("\n")[site.pos.line - 1]
-    new_line = line[: site.pos.column] + tactic + line[site.end_pos.column :]
-    return replace_lines(text, [(site.pos.line, site.pos.line, [new_line])])
+def _swap(text: str, swaps) -> tuple[str, list[tuple[int, int]]]:
+    """`text` with each `(site, tactic)` of `swaps`, in position order, put
+    in place of the sorry token at `site`, and the `(line, column)` where
+    each tactic starts in the new text.  A site's token lies on one line;
+    sites that share a line are swapped left to right, each at its position
+    in `text`."""
+    lines = text.split("\n")
+    edited: dict[int, tuple[str, int]] = {}  # line -> (new line, column shift)
+    starts: list[tuple[int, int]] = []
+    for site, tactic in swaps:
+        no = site.pos.line
+        line, shift = edited.get(no, (lines[no - 1], 0))
+        column = site.pos.column + shift
+        edited[no] = (line[:column] + tactic + line[site.end_pos.column + shift:],
+                      shift + len(tactic) - (site.end_pos.column - site.pos.column))
+        starts.append((no, column))
+    edits = [(no, no, [line]) for no, (line, _) in edited.items()]
+    return replace_lines(text, edits), starts
 
 
-def _trial(text: str, site: SorryInfo, tactic: str, session,
-           config: RepairConfig) -> tuple[str, CompileResult]:
-    trial = _swap(text, site, tactic)
-    return trial, check_script(trial, session, config.candidate_timeout)
-
-
-def _closes(result: CompileResult, baseline_sorries: int) -> bool:
-    return result.ok and not result.errors and len(result.sorries) < baseline_sorries
+def _wave_timeout(config: RepairConfig, sites: int) -> float:
+    """One candidate's time per site swapped, but never more than one
+    `compile_timeout`."""
+    return min(config.candidate_timeout * sites, config.compile_timeout)
 
 
 def hint_candidates(text: str, sites: list[SorryInfo], session,
@@ -108,21 +134,17 @@ def hint_candidates(text: str, sites: list[SorryInfo], session,
     """Run `hint` at every site of the script `text`, one compile, and
     return each site's suggestions in order, read from the messages at that
     site's position.  The sites are in position order, as `check_script`
-    gives them, and are swapped right to left.  A site no message answers
-    gets None: under Lean a failed `hint` aborts the rest of its block, a
-    timed-out or crashed compile answers none, and a `hint` that shares its
-    line with an earlier site sits left of its sorry.  A lone site's probe
-    is its own answer, so it gets `[]`.  The compile may take as long as
-    one probe per site, but no longer than one `compile_timeout`.  The
-    suggestions are not validated here: `solve_sorries` trials each like
-    any other candidate, so a suggestion that only makes progress is never
-    committed."""
+    gives them.  A site no message answers gets None: under Lean a failed
+    `hint` aborts the rest of its block, a timed-out or crashed compile
+    answers none, and a `hint` that shares its line with an earlier site
+    sits left of its sorry.  A lone site's probe is its own answer, so it
+    gets `[]`.  The compile has the time of a wave over the same sites.
+    The suggestions are not validated here: `solve_sorries` trials each
+    like any other candidate, so a suggestion that only makes progress is
+    never committed."""
     config = config or RepairConfig()
-    wave = text
-    for site in reversed(sites):
-        wave = _swap(wave, site, "hint")
-    timeout = min(config.candidate_timeout * len(sites), config.compile_timeout)
-    probe = check_script(wave, session, timeout)
+    wave, _ = _swap(text, [(site, "hint") for site in sites])
+    probe = check_script(wave, session, _wave_timeout(config, len(sites)))
     answers: list[list[str] | None] = []
     for site in sites:
         messages = [d for d in probe.diagnostics if d.pos == site.pos]
@@ -131,48 +153,226 @@ def hint_candidates(text: str, sites: list[SorryInfo], session,
     return answers
 
 
+@dataclass(frozen=True, eq=False)
+class _Sequence:
+    """A tactic sequence that Lean runs on its own: it stops at its first
+    error, which is logged and recovered where the sequence is opened, so
+    the sequences around and after it go on.  `start` is the opener (the
+    `by`, or the `case` keyword), where Lean reports `unsolved goals`;
+    `last` is its last line."""
+
+    start: tuple[int, int]
+    last: int
+    parent: _Sequence | None
+
+    def holds(self, pos: Position) -> bool:
+        return self.start <= (pos.line, pos.column) and pos.line <= self.last
+
+
+_HAVE_BY_RE = re.compile(r"\s*have\b.*?:=\s*(by)\b")
+
+
+def _sequences(script: ProofScript) -> list[_Sequence]:
+    """The tactic sequences of `script`, from its block tree: the whole
+    text (which holds what lies outside the proof, as lemmas before it or
+    messages past its end), the proof body from the statement's `by`, every
+    `have … := by` block and inline `have … := by` line, and every `case`
+    block.  Other blocks belong to the sequence around them."""
+    stmt = script.statement
+    by_line = (stmt.header + stmt.statement_text).count("\n") + 1
+    by_column = len(stmt.statement_text.rsplit("\n", 1)[-1]) - len("by")
+    whole = _Sequence((0, -1), len(script.text), None)
+    body = _Sequence((by_line, by_column), script.root.last, whole)
+    found = [whole, body]
+
+    def visit(node: ProofBlock, around: _Sequence):
+        for child in node.children:
+            if child.kind == KIND_TACTIC:
+                for no in range(child.first, child.last + 1):
+                    m = _HAVE_BY_RE.match(script.line(no)[1])
+                    if m:
+                        found.append(_Sequence((no, m.start(1)), no, around))
+                continue
+            m = _HAVE_BY_RE.match(script.line(child.first)[1])
+            inner = around
+            if child.kind == KIND_CASE:
+                inner = _Sequence((child.first, child.indent), child.last, around)
+            elif child.kind == KIND_HAVE and m:
+                inner = _Sequence((child.first, m.start(1)), child.last, around)
+            if inner is not around:
+                found.append(inner)
+            visit(child, inner)
+
+    visit(script.root, body)
+    return found
+
+
+def _innermost(sequences: list[_Sequence], pos: Position) -> _Sequence:
+    return max((q for q in sequences if q.holds(pos)), key=lambda q: q.start)
+
+
+def _read_wave(compiled: CompileResult, swapped: list[int], starts: list[tuple[int, int]],
+               tactics: list[str], within: list[_Sequence],
+               sequences: list[_Sequence]) -> tuple[str | None, dict[int, bool]]:
+    """The verdict of each decided site of a wave, True when it closed, or
+    the reason the wave cannot be read site by site.  `swapped` are the
+    open sites in position order; `starts[k]` and `tactics[k]` are where
+    and what the k-th holds in the wave, and `within[k]` its sequence.
+
+    A site is undecided when an earlier open site shares its sequence, or
+    when an error in a sequence around its own stands between the two
+    openers (the outer sequence stopped before the inner one ran).  A
+    decided site closes when its sequence has no error and no sorry stands
+    where its candidate sits; it fails on an error in its sequence before
+    the next open site there.  An error only at the opener or past that
+    next site could be either's, so the site waits."""
+    if compiled.status in (TIMEOUT, REPL_CRASH):
+        return f"a {'timeout' if compiled.status == TIMEOUT else 'crash'}", {}
+    failures = compiled.errors
+    if any("maxHeartbeats" in e.message for e in failures):
+        return "a maxHeartbeats error", {}
+    errors: dict[_Sequence, list[tuple[int, int]]] = {}
+    for e in failures:
+        errors.setdefault(_innermost(sequences, e.pos), []).append(
+            (e.pos.line, e.pos.column))
+    peers: dict[_Sequence, list[int]] = {}  # the open sites of each sequence
+    for k, seq in enumerate(within):
+        peers.setdefault(seq, []).append(k)
+    verdicts: dict[int, bool] = {}
+    for seq, (k, *later) in peers.items():  # the later ones wait
+        outer, cut = seq.parent, False
+        while outer is not None and not cut:
+            cut = any(outer.start < at < seq.start for at in errors.get(outer, []))
+            outer = outer.parent
+        if cut:
+            continue
+        mine = errors.get(seq, [])
+        if mine:
+            following = starts[later[0]] if later else None
+            if following is None or any(seq.start < at < following for at in mine):
+                verdicts[swapped[k]] = False
+            continue
+        verdicts[swapped[k]] = not _sorry_at(compiled, starts[k], tactics[k])
+    return None, verdicts
+
+
+def _sorry_at(compiled: CompileResult, start: tuple[int, int], tactic: str) -> bool:
+    """Whether a sorry stands where `tactic`, swapped in at `start`, sits."""
+    line, column = start
+    return any(s.pos.line == line and column <= s.pos.column < column + len(tactic)
+               for s in compiled.sorries)
+
+
+def _waves(s: SorrifiedScript, answers: list[list[str] | None], wide: bool,
+           session, config: RepairConfig):
+    """The trial waves of `solve_sorries` over the sites of `s`, from the
+    `hint` answers given, at full width or, with `wide` False, at width
+    one.  Returns the committed text, its compile and the commits made, or
+    None when the last check of the committed text disagrees with the
+    waves."""
+    text, result = s.script.text, s.compile_result
+    verified = text  # the text that `result` compiled
+    sites = list(result.sorries)
+    suite = suite_candidates(config)
+    # each site's candidates; None until `hint` has answered the site
+    ladders = [None if answer is None else answer + suite for answer in answers]
+    tried = [0] * len(sites)
+    live = list(range(len(sites)))  # the open sites, in position order
+    commits: dict[int, CommittedTactic] = {}
+    sequences = _sequences(s.script) if len(sites) > 1 else []
+    within = [_innermost(sequences, site.pos) for site in sites] if sequences else []
+
+    def narrow(reason: str) -> bool:
+        log.debug("autosolver: width one after %s", reason)
+        return False
+
+    while live:
+        if wide and len(live) > 1 and any(ladders[i] is None for i in live):
+            wide = narrow("a site the hint wave left unanswered")
+        swapped = live[:] if wide else live[:1]
+        for i in swapped:
+            if ladders[i] is None:
+                ladders[i] = hint_candidates(text, [sites[i]], session, config)[0] + suite
+        spent = [i for i in swapped if tried[i] == len(ladders[i])]
+        if spent:  # out of candidates: the site keeps its sorry
+            live = [i for i in live if i not in spent]
+            continue
+        swaps = [(sites[i], ladders[i][tried[i]]) for i in swapped]
+        wave, starts = _swap(text, swaps)
+        compiled = check_script(wave, session, _wave_timeout(config, len(swapped)))
+        if len(swapped) == 1:
+            # one site swapped: every error is its own (`ok` means none)
+            reason, verdicts = None, {
+                swapped[0]: compiled.ok and not _sorry_at(compiled, starts[0], swaps[0][1])}
+        else:
+            reason, verdicts = _read_wave(compiled, swapped, starts, [t for _, t in swaps],
+                                          [within[i] for i in swapped], sequences)
+        if reason is None and not verdicts:
+            reason = "a wave that decides nothing"
+        if reason is not None:
+            wide = narrow(reason)
+            continue
+        closed = sum(verdicts.values())
+        log.debug("autosolver: wave over %d open sites: %d closed, %d undecided",
+                  len(swapped), closed, len(swapped) - len(verdicts))
+        for i, (site, tactic) in zip(swapped, swaps):
+            verdict = verdicts.get(i)
+            if verdict is None:
+                continue
+            if not verdict:
+                tried[i] += 1
+                continue
+            text, _ = _swap(text, [(site, tactic)])
+            commits[i] = CommittedTactic(site, tactic)
+            live.remove(i)
+            shift = len(tactic) - (site.end_pos.column - site.pos.column)
+            for j in range(i + 1, len(sites)):
+                if sites[j].pos.line == site.pos.line:
+                    other = sites[j]
+                    sites[j] = SorryInfo(Position(other.pos.line, other.pos.column + shift),
+                                         Position(other.end_pos.line,
+                                                  other.end_pos.column + shift),
+                                         other.goal)
+                    ladders[j] = None
+        if compiled.ok and closed == len(swapped):
+            result, verified = compiled, text
+
+    if verified != text:
+        final = check_script(text, session, config.compile_timeout)
+        unclosed = {(site.pos, site.end_pos) for i, site in enumerate(sites)
+                    if i not in commits}
+        if not (final.ok and {(x.pos, x.end_pos) for x in final.sorries} == unclosed):
+            narrow("the last check of the committed text disagrees")
+            return None
+        result = final
+    return text, result, [commits[i] for i in sorted(commits)]
+
+
 def solve_sorries(s: SorrifiedScript, session,
                   config: RepairConfig | None = None) -> SorrifiedScript:
-    """Try to discharge every sorry: one `hint` wave over all sites, then at
-    each site, trial its `hint` suggestions and then the suite, one compile
-    each, and commit the first that closes it.  A commit edits one line, so
-    the wave answers of the other lines stay with their sites; a site the
-    wave left unanswered, or whose line a commit edited, is probed alone
-    when its turn comes.  Sites that resist all candidates stay
-    sorried.  The text is parsed once, at the end, and only when something
-    was committed.  The result still compiles Pass or PassWithSorries."""
+    """Try to discharge every sorry: one `hint` wave over all sites, then
+    the trial waves, each one compile that tries every open site's next
+    candidate, and commit the first that closes each site.  A commit edits
+    one line, so line ranges never move.  The wave that closes the last
+    open site is the result; otherwise one more compile of the committed
+    text must pass with a sorry at exactly the sites left open, or the
+    waves run again from the start at width one.  With nothing committed,
+    no compile is added and the input's compile stands.  Sites that resist
+    all candidates stay sorried.  The text is parsed once, at the end, and
+    only when something was committed.  The result still compiles Pass or
+    PassWithSorries."""
     config = config or RepairConfig()
-    text = s.script.text
-    result = s.compile_result
-    commits: list[CommittedTactic] = list(s.commits)
-    hints = (dict(zip(result.sorries, hint_candidates(text, result.sorries, session, config)))
-             if result.sorries else {})
-    skipped = 0
-
-    while skipped < len(result.sorries):
-        site = result.sorries[skipped]
-        suggestions = hints.get(site)
-        if suggestions is None:
-            suggestions = hint_candidates(text, [site], session, config)[0]
-        for tactic in suggestions + suite_candidates(config):
-            trial, trial_result = _trial(text, site, tactic, session, config)
-            if _closes(trial_result, len(result.sorries)):
-                log.debug("autosolver: %r closed site at line %d", tactic, site.pos.line)
-                text, result = trial, trial_result
-                commits.append(CommittedTactic(site, tactic))
-                hints = {other: answer for other, answer in hints.items()
-                         if other.pos.line != site.pos.line}
-                break
-        else:
-            skipped += 1
-
-    script = (parse_script(text, s.script.statement) if len(commits) > len(s.commits)
-              else s.script)
-    return SorrifiedScript(script, s.actions, result, commits)
+    if not s.compile_result.sorries:
+        return s
+    answers = hint_candidates(s.script.text, s.compile_result.sorries, session, config)
+    text, result, commits = (_waves(s, answers, True, session, config)
+                             or _waves(s, answers, False, session, config))
+    script = parse_script(text, s.script.statement) if commits else s.script
+    return SorrifiedScript(script, s.actions, result, s.commits + commits)
 
 
 def replay_commits(script: ProofScript, commits: list[CommittedTactic]) -> ProofScript:
     text = script.text
     for commit in commits:
-        text = _swap(text, commit.site, commit.tactic)
+        text, _ = _swap(text, [(commit.site, commit.tactic)])
     return parse_script(text, script.statement)

@@ -1,12 +1,18 @@
+import importlib.util
 import json
+import logging
+import random
 import re
 import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from apollo.config import RepairConfig
 from apollo.autosolver import (
     DEFAULT_SUITE,
+    CommittedTactic,
     hint_candidates,
     load_suite,
     parse_hint_suggestions,
@@ -14,10 +20,24 @@ from apollo.autosolver import (
     solve_sorries,
     suite_candidates,
 )
-from apollo import proofscript
-from apollo.proofscript import count_sorries, parse_script, serialize
+from apollo import engine, proofscript
+from apollo.proofscript import (
+    TheoremStatement,
+    count_sorries,
+    parse_script,
+    replace_lines,
+    serialize,
+)
 from apollo.refiner import refine
-from apollo.repl import PASS, PASS_WITH_SORRIES, TIMEOUT, CompileResult, classify, start_session
+from apollo.repl import (
+    PASS,
+    PASS_WITH_SORRIES,
+    REPL_CRASH,
+    TIMEOUT,
+    CompileResult,
+    classify,
+    start_session,
+)
 from apollo.sorrifier import SorrifiedScript, check_script, sorrify
 from conftest import FIXTURES, fake_repl_cmd
 
@@ -348,3 +368,341 @@ def test_parse_hint_suggestions_formats():
     }
     assert parse_hint_suggestions(classify(raw).diagnostics) == [
         "positivity", "nlinarith [sq_nonneg x]", "omega"]
+
+
+# --- the trial waves against the per-site loop they replaced -----------------
+
+
+def _swap_one(text, site, tactic):
+    line = text.split("\n")[site.pos.line - 1]
+    new_line = line[: site.pos.column] + tactic + line[site.end_pos.column :]
+    return replace_lines(text, [(site.pos.line, site.pos.line, [new_line])])
+
+
+def reference_solve(s, session, config=None):
+    """The per-site loop that the trial waves replaced, kept as the
+    reference: one `hint` wave, then each site in turn, one compile per
+    candidate of its ladder, committing the first whose compile passes with
+    fewer sorries.  A site the wave left unanswered, or whose line a commit
+    edited, gets its own `hint` probe when its turn comes."""
+    config = config or RepairConfig()
+    text, result = s.script.text, s.compile_result
+    commits = list(s.commits)
+    hints = (dict(zip(result.sorries, hint_candidates(text, result.sorries, session, config)))
+             if result.sorries else {})
+    skipped = 0
+    while skipped < len(result.sorries):
+        site = result.sorries[skipped]
+        suggestions = hints.get(site)
+        if suggestions is None:
+            suggestions = hint_candidates(text, [site], session, config)[0]
+        for tactic in suggestions + suite_candidates(config):
+            trial = _swap_one(text, site, tactic)
+            trial_result = check_script(trial, session, config.candidate_timeout)
+            if (trial_result.ok and not trial_result.errors
+                    and len(trial_result.sorries) < len(result.sorries)):
+                text, result = trial, trial_result
+                commits.append(CommittedTactic(site, tactic))
+                hints = {other: answer for other, answer in hints.items()
+                         if other.pos.line != site.pos.line}
+                break
+        else:
+            skipped += 1
+    script = (parse_script(text, s.script.statement) if len(commits) > len(s.commits)
+              else s.script)
+    return SorrifiedScript(script, s.actions, result, commits)
+
+
+class _Recording:
+    """A session that passes every compile on and keeps its code and
+    timeout."""
+
+    def __init__(self, session):
+        self.session, self.sent = session, []
+
+    def check(self, code, timeout=None):
+        self.sent.append((code, timeout))
+        return self.session.check(code, timeout)
+
+
+def _against_reference(s, session, config=None):
+    """Run the waves and the reference on `s`; both must commit the same
+    tactic at each site and give the same text and sites, the waves in no
+    more compiles, and a one-site input must send the same compiles.
+    Returns the two compile counts."""
+    waves, reference = _Recording(session), _Recording(session)
+    out = solve_sorries(s, waves, config)
+    expected = reference_solve(s, reference, config)
+    assert out.commits == expected.commits
+    assert serialize(out.script) == serialize(expected.script)
+    assert out.compile_result.sorries == expected.compile_result.sorries
+    assert out.compile_result.ok
+    assert len(waves.sent) <= len(reference.sent)
+    if len(s.compile_result.sorries) == 1:
+        assert waves.sent == reference.sent
+    return len(waves.sent), len(reference.sent)
+
+
+def test_waves_match_the_reference_on_the_worked_example(session_332):
+    source = (FIXTURES / "llm_332" / "mathd_algebra_332" / "000.lean").read_text(
+        encoding="utf-8")
+    worked = _sorrified(refine(source)[0], session_332)
+    assert len(worked.compile_result.sorries) == 6
+    # the two sites that nothing closes spend their 22 candidates in 22
+    # waves, and one compile checks the committed text
+    assert _against_reference(worked, session_332) == (1 + 22 + 1, 1 + 57)
+
+
+def test_waves_match_the_reference_on_multi_have(session):
+    waves, reference = _against_reference(_sorrified(MULTI_HAVE, session), session)
+    assert waves < reference
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    """Every `solve_sorries` input of the 48 golden runs, each with the
+    command of the session it ran on."""
+    import test_golden
+
+    seen = []
+    original = engine.solve_sorries
+
+    def capture(s, session, config=None):
+        seen.append((tuple(session.command), s, config))
+        return original(s, session, config)
+
+    with mock.patch.object(engine, "solve_sorries", capture):
+        test_golden.documents(tmp_path_factory.mktemp("golden"))
+    return seen
+
+
+def test_waves_match_the_reference_on_every_golden_input(golden_inputs):
+    assert len(golden_inputs) == 21
+    sessions = {}
+    try:
+        for command, s, config in golden_inputs:
+            if command not in sessions:
+                sessions[command] = start_session(list(command))
+            _against_reference(s, sessions[command], config)
+    finally:
+        for session in sessions.values():
+            session.close()
+    assert sum(len(s.compile_result.sorries) > 1 for _, s, _ in golden_inputs) == 1
+
+
+def _bench_inputs():
+    """`bench/inputs.py`, loaded read-only and kept out of `sys.modules`;
+    its `import checks` is served from `bench/checks.py`."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+
+    def load(name, **modules):
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", bench / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        with mock.patch.dict(sys.modules, {spec.name: module, **modules}):
+            spec.loader.exec_module(module)
+        return module
+
+    return load("inputs", checks=load("checks"))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_waves_match_the_reference_on_broken_haves(plain_session, seed):
+    inputs = _bench_inputs()
+    name = f"bh_{seed}_0"
+    statement, proof, _ = inputs.broken_haves_theorem(random.Random(seed), name)
+    s = sorrify(parse_script("import Mathlib\n\n" + proof,
+                             TheoremStatement(name, "import Mathlib\n", statement)),
+                plain_session)
+    assert len(s.compile_result.sorries) == inputs.BH_HAVES
+    # every claim is closed arithmetic: one wave commits `norm_num` at all
+    # 60 sites, where the reference made one trial per site
+    assert _against_reference(s, plain_session) == (2, 1 + inputs.BH_HAVES)
+
+
+_GOALS = ("2 + 2 = 4", "3 * 3 = 10", "G1", "G2", "G3")
+
+
+def _seeded_theorem(rng):
+    """A theorem shaped like `broken_haves`: broken `have`s, one a line,
+    in a block, or in a block inside another, each on a goal that
+    `norm_num`, `ring_nf`, the `hint` suggestion `gcongr` or nothing
+    closes."""
+    lines = ["theorem t : 1 = 1 := by"]
+    for i in range(rng.randint(2, 6)):
+        goal, shape = rng.choice(_GOALS), rng.randrange(3)
+        if shape == 0:
+            lines.append(f"  have h{i} : {goal} := by frob")
+        elif shape == 1:
+            lines += [f"  have h{i} : {goal} := by", "    frob"]
+        else:
+            lines += [f"  have h{i} : {goal} := by",
+                      f"    have k{i} : {rng.choice(_GOALS)} := by", "      frob", "    frob"]
+    return "\n".join(lines + ["  rfl"]) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_waves_match_the_reference_on_seeded_theorems(session, seed):
+    s = _sorrified(_seeded_theorem(random.Random(seed)), session)
+    assert s.compile_result.sorries
+    _against_reference(s, session)
+
+
+# --- width one: each trigger, against a stub of Lean -------------------------
+
+_SITE_LINE = re.compile(r"  (?:have (\w+) : \w+ := by|show (\w+) by) (.*)$")
+
+
+class _WaveRepl:
+    """A session that stands in for Lean on trial waves.  Each line
+    `  have hN : A := by TAC` is a site in a sequence of its own, and each
+    line `  show pN by TAC` a site in the proof body's sequence: TAC
+    `sorry` is a sorry, `hint` is a sorry that, for the first `answered` of
+    them in a compile, suggests `simp only [foo]`, the site's closer in
+    `closers` closes it, and anything else is an error at TAC.
+    `react(tactics)`, given every site line's TAC in order, may return a
+    status for the whole reply or messages to add to it."""
+
+    def __init__(self, closers, answered=None, react=lambda tactics: None):
+        self.closers, self.answered, self.react = closers, answered, react
+        self.sent = []  # the timeout of each compile
+
+    def check(self, code, timeout=None):
+        self.sent.append(timeout)
+        rows = [(no, m) for no, line in enumerate(code.split("\n"), start=1)
+                if (m := _SITE_LINE.match(line))]
+        reaction = self.react([m.group(3) for _, m in rows])
+        if isinstance(reaction, str):
+            return CompileResult(reaction)
+        messages, sorries, hints = list(reaction or []), [], 0
+        for no, m in rows:
+            column, tactic = m.start(3), m.group(3)
+            if tactic in ("sorry", "hint"):
+                sorries.append({"pos": {"line": no, "column": column},
+                                "endPos": {"line": no, "column": m.end(3)}, "goal": "⊢ A"})
+                if tactic == "hint" and (self.answered is None or hints < self.answered):
+                    messages.append(_message("info", no, column, "Try these:\n• simp only [foo]"))
+                hints += tactic == "hint"
+            elif tactic != self.closers.get(m.group(1) or m.group(2)):
+                messages.append(_message("error", no, column, "tactic failed"))
+        return classify({"env": 0, "messages": messages, "sorries": sorries})
+
+
+def _message(severity, line, column, data):
+    return {"severity": severity, "pos": {"line": line, "column": column},
+            "endPos": {"line": line, "column": column + 1}, "data": data}
+
+
+THREE_HAVES = ("theorem t : G := by\n"
+               "  intro x\n"
+               "  have h1 : A := by sorry\n"
+               "  have h2 : B := by sorry\n"
+               "  have h3 : C := by sorry\n"
+               "  exact c\n")
+
+# `h1` closes at ladder place 2 and `h2` at 4; nothing closes `h3`
+CLOSERS = {"h1": "simp", "h2": "ring_nf"}
+
+_HEARTBEATS = ("(deterministic) timeout at `whnf`, maximum number of heartbeats "
+               "(400000) has been reached\nUse `set_option maxHeartbeats <num>` "
+               "to set the limit.")
+
+
+# `simp_all` comes fourth on every ladder, in the fourth wave, while `h2`
+# and `h3` are open
+
+
+def _slow(status):
+    return lambda tactics: status if "simp_all" in tactics else None
+
+
+def _heavy(tactics):
+    if "simp_all" in tactics:
+        return [_message("error", 3 + tactics.index("simp_all"), 20, _HEARTBEATS)]
+    return None
+
+
+def _broken_together(tactics):
+    # an error on the last line once `h1` and `h2` are committed and `h3`
+    # is a sorry: the waves see it only in the check of the committed text
+    return [_message("error", 6, 2, "type mismatch")] if tactics == [
+        "simp", "ring_nf", "sorry"] else None
+
+
+def _cut_short(tactics):
+    # an error on `intro x`, before every site's sequence, while no site
+    # holds a sorry: each site waits, so the first wave decides nothing
+    if all(t not in ("sorry", "hint") for t in tactics):
+        return [_message("error", 2, 2, "intro failed")]
+    return None
+
+
+@pytest.mark.parametrize("stub,trigger", [
+    (dict(react=_slow(TIMEOUT)), "a timeout"),
+    (dict(react=_slow(REPL_CRASH)), "a crash"),
+    (dict(react=_heavy), "a maxHeartbeats error"),
+    (dict(react=_broken_together), "the last check of the committed text disagrees"),
+    (dict(react=_cut_short), "a wave that decides nothing"),
+    (dict(answered=1), "a site the hint wave left unanswered"),
+], ids=["timeout", "crash", "heartbeats", "final_check", "decides_nothing", "unanswered"])
+def test_width_one_takes_over(caplog, stub, trigger):
+    s = _stub_sorrified(THREE_HAVES, _WaveRepl(CLOSERS, **stub))
+    with caplog.at_level(logging.DEBUG, logger="apollo.autosolver"):
+        out = solve_sorries(s, _WaveRepl(CLOSERS, **stub))
+    assert f"autosolver: width one after {trigger}" in caplog.messages
+    expected = reference_solve(s, _WaveRepl(CLOSERS, **stub))
+    assert out.commits == expected.commits
+    assert serialize(out.script) == serialize(expected.script)
+    assert out.compile_result.sorries == expected.compile_result.sorries
+
+
+def test_waves_without_a_trigger_stay_wide(caplog):
+    s = _stub_sorrified(THREE_HAVES, _WaveRepl(CLOSERS))
+    with caplog.at_level(logging.DEBUG, logger="apollo.autosolver"):
+        out = solve_sorries(s, _WaveRepl(CLOSERS))
+    waves = [m for m in caplog.messages if m.startswith("autosolver: wave")]
+    assert not any("width one" in m for m in caplog.messages)
+    # h1 closes in the third wave and h2 in the fifth; h3 spends its 23
+    # candidates alone
+    assert waves[:3] == ["autosolver: wave over 3 open sites: 0 closed, 0 undecided"] * 2 + [
+        "autosolver: wave over 3 open sites: 1 closed, 0 undecided"]
+    assert waves[4] == "autosolver: wave over 2 open sites: 1 closed, 0 undecided"
+    assert len(waves) == 23
+    assert [(c.site.pos.line, c.tactic) for c in out.commits] == [(3, "simp"), (4, "ring_nf")]
+
+
+def test_a_site_waits_for_an_earlier_one_in_its_sequence(caplog):
+    """Two sites in the proof body's sequence: the later one waits while
+    the earlier is open.  The earlier fails on an error before the later
+    site, and waits when the only error stands at the later site, which
+    either candidate could have caused: that wave decides nothing."""
+    text = ("theorem t : G := by\n"
+            "  show p1 by sorry\n"
+            "  show p2 by sorry\n"
+            "  exact c\n")
+    closers = {"p1": "simp", "p2": "ring_nf"}
+    s = _stub_sorrified(text, _WaveRepl(closers))
+    with caplog.at_level(logging.DEBUG, logger="apollo.autosolver"):
+        out = solve_sorries(s, _WaveRepl(closers))
+    assert caplog.messages[:3] == [
+        "autosolver: wave over 2 open sites: 0 closed, 1 undecided"] * 2 + [
+        "autosolver: width one after a wave that decides nothing"]
+    expected = reference_solve(s, _WaveRepl(closers))
+    assert out.commits == expected.commits
+    assert [c.tactic for c in out.commits] == ["simp", "ring_nf"]
+    assert serialize(out.script) == serialize(expected.script)
+
+
+def test_slow_site_beside_a_closable_one(session, caplog):
+    """The `GSLOW` suggestion sleeps past the wave's timeout: the call
+    narrows to width one, the slow candidate fails alone, and the `G1`
+    site is still closed."""
+    src = ("theorem t : 1 = 1 := by\n"
+           "  have a : GSLOW := by sorry\n"
+           "  have b : G1 := by sorry\n"
+           "  rfl\n")
+    before = _sorrified(src, session)
+    with caplog.at_level(logging.DEBUG, logger="apollo.autosolver"):
+        out = solve_sorries(before, session, RepairConfig(candidate_timeout=0.4))
+    assert "autosolver: width one after a timeout" in caplog.messages
+    assert [(c.site.pos.line, c.tactic) for c in out.commits] == [(3, "ring_nf")]
+    assert serialize(out.script) == src.replace("G1 := by sorry", "G1 := by ring_nf")

@@ -129,3 +129,77 @@ def test_a_tactic_block_reports_only_its_first_error():
         "  have h : 2 = 2 := by\n    exact h_one\n    exact h_two\n"
         "  rfl\n")
     assert _errors(reply) == [((3, 4), "unknown identifier 'h_one'")]
+
+
+# Row 2(e): constructs the fake already answers as Lean does, cited.  Each
+# test pins only the message text and its start, which the citation covers.
+
+BLOCK_COMMENT_SOURCE = (
+    "Lean/Parser/Basic.lean: `finishCommentBlock` counts `/-` against `-/` "
+    "in a nesting depth, so block comments nest and span lines, and at the "
+    "end of the input it fails with `unterminated comment` where the input "
+    "ends.  Unverified here against Lean, which is not installed")
+
+IMPORT_SOURCE = (
+    "Lean/Parser/Command.lean keeps an `import` command parser only so that "
+    "its elaborator in Lean/Elab/BuiltinCommand.lean can reject it: it "
+    "throws `invalid 'import' command, it must be used in the beginning of "
+    "the file` at the command.  Unverified here against Lean, which is not "
+    "installed")
+
+OTHER_COMMAND_SOURCE = (
+    "leanprover-community/repl `REPL/Main.lean`: a command sent with `env` "
+    "is elaborated from that env's snapshot, so a theorem that another "
+    "command added to another env is not in scope, and name resolution in "
+    "Lean/Elab/Term.lean reports it as an `unknown identifier`.  Unverified "
+    "here against Lean, which is not installed")
+
+
+def _starts(reply):
+    return [((m["pos"]["line"], m["pos"]["column"]), m["data"])
+            for m in reply["messages"]]
+
+
+def test_a_nested_block_comment_hides_what_it_holds():
+    """Row: a block comment nests and spans lines, and what it holds is no
+    code: neither the `sorry` nor the text after the inner `-/`.  Source:
+    BLOCK_COMMENT_SOURCE."""
+    reply = FakeRepl(RuleTable()).handle(
+        "theorem t : 1 = 1 := by\n"
+        "  /- a /- nested -/ sorry\n"
+        "     still a comment -/\n"
+        "  rfl\n")
+    assert reply["messages"] == [] and reply["sorries"] == []
+
+
+def test_an_unterminated_block_comment_fails_at_the_end_of_the_input():
+    """Row: a block comment that never closes is an error where the input
+    ends.  Source: BLOCK_COMMENT_SOURCE."""
+    reply = FakeRepl(RuleTable()).handle(
+        "theorem t : 1 = 1 := by\n  rfl\n/- never closed")
+    assert _starts(reply) == [((3, 15), "unterminated comment")]
+
+
+def test_an_import_after_code_is_an_error_at_the_command():
+    """Row: `import` after any command is rejected at its keyword.
+    Source: IMPORT_SOURCE."""
+    reply = FakeRepl(RuleTable()).handle(
+        "theorem t : 1 = 1 := by\n  rfl\nimport Mathlib\n")
+    assert _starts(reply) == [
+        ((3, 0), "invalid 'import' command, it must be used in the beginning of the file")]
+
+
+def test_exact_does_not_see_a_theorem_of_another_command():
+    """Row: a theorem proved by one command is not in scope in a command
+    sent without that command's env, so `exact` of it names an unknown
+    identifier on its line; in the same command it is in scope.  The fake
+    puts the error at the tactic, where Lean puts it at the identifier: the
+    column is not pinned.  Source: OTHER_COMMAND_SOURCE."""
+    repl = FakeRepl(RuleTable())
+    assert repl.handle("theorem foo : 1 = 1 := by\n  rfl\n")["messages"] == []
+    reply = repl.handle("theorem t : 1 = 1 := by\n  exact foo\n")
+    [((line, _), message)] = _starts(reply)
+    assert (line, message) == (2, "unknown identifier 'foo'")
+    same = repl.handle("theorem foo : 1 = 1 := by\n  rfl\n"
+                       "theorem t : 1 = 1 := by\n  exact foo\n")
+    assert same["messages"] == []
