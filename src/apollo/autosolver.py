@@ -19,6 +19,16 @@ a crash, a `maxHeartbeats` error, a site `hint` left unanswered, a wave
 that decides nothing) narrows the waves to width one: only the earliest
 open site is swapped, and every error is its own.  A failing or timed-out
 candidate is never committed, so it cannot damage the script.
+
+Most sites that survive their first candidate survive them all, so after
+the first wave in which a candidate fails, one precheck compile asks
+whether anything is left that closes each site: every site the waves
+would swap holds `first | (c₁; done) | … | (cₙ; done)` over the untried
+rest of its ladder, and is read like a wave.  A site it fails keeps its
+sorry and leaves the waves; the others go on as before, so the candidate
+committed at each is the same.  Nothing is committed from the precheck,
+and one that cannot be read (a timeout, a crash, a `maxHeartbeats` error,
+a reply that decides nothing) drops no site and does not narrow.
 """
 
 from __future__ import annotations
@@ -123,10 +133,11 @@ def _swap(text: str, swaps) -> tuple[str, list[tuple[int, int]]]:
     return replace_lines(text, edits), starts
 
 
-def _wave_timeout(config: RepairConfig, sites: int) -> float:
-    """One candidate's time per site swapped, but never more than one
+def _wave_timeout(config: RepairConfig, trials: int) -> float:
+    """One candidate's time per candidate tried (one per site swapped, or
+    every alternative of a precheck), but never more than one
     `compile_timeout`."""
-    return min(config.candidate_timeout * sites, config.compile_timeout)
+    return min(config.candidate_timeout * trials, config.compile_timeout)
 
 
 def hint_candidates(text: str, sites: list[SorryInfo], session,
@@ -214,30 +225,41 @@ def _innermost(sequences: list[_Sequence], pos: Position) -> _Sequence:
 def _read_wave(compiled: CompileResult, swapped: list[int], starts: list[tuple[int, int]],
                tactics: list[str], within: list[_Sequence],
                sequences: list[_Sequence]) -> tuple[str | None, dict[int, bool]]:
-    """The verdict of each decided site of a wave, True when it closed, or
-    the reason the wave cannot be read site by site.  `swapped` are the
-    open sites in position order; `starts[k]` and `tactics[k]` are where
-    and what the k-th holds in the wave, and `within[k]` its sequence.
+    """The verdict of each decided site of a wave, True when it closed, and
+    the reason the compile cannot be read as a whole, if any.  `swapped`
+    are the open sites in position order; `starts[k]` and `tactics[k]` are
+    where and what the k-th holds in the wave, and `within[i]` is site i's
+    sequence.
 
-    A site is undecided when an earlier open site shares its sequence, or
-    when an error in a sequence around its own stands between the two
-    openers (the outer sequence stopped before the inner one ran).  A
-    decided site closes when its sequence has no error and no sorry stands
-    where its candidate sits; it fails on an error in its sequence before
-    the next open site there.  An error only at the opener or past that
-    next site could be either's, so the site waits."""
+    With one site swapped, every error is its own (`ok` means none), so
+    its verdict stands even in a compile that timed out, crashed or ran
+    out of heartbeats, which is still named as the reason.  With more, such
+    a compile decides nothing.  Otherwise a site is undecided when an
+    earlier open site shares its sequence, or when an error in a sequence
+    around its own stands between the two openers (the outer sequence
+    stopped before the inner one ran).  A decided site closes when its
+    sequence has no error and no sorry stands where its candidate sits; it
+    fails on an error in its sequence before the next open site there.  An
+    error only at the opener or past that next site could be either's, so
+    the site waits.  A wave of several sites that decides none is named as
+    the reason too."""
+    reason = None
     if compiled.status in (TIMEOUT, REPL_CRASH):
-        return f"a {'timeout' if compiled.status == TIMEOUT else 'crash'}", {}
-    failures = compiled.errors
-    if any("maxHeartbeats" in e.message for e in failures):
-        return "a maxHeartbeats error", {}
+        reason = f"a {'timeout' if compiled.status == TIMEOUT else 'crash'}"
+    elif any("maxHeartbeats" in e.message for e in compiled.errors):
+        reason = "a maxHeartbeats error"
+    if len(swapped) == 1:
+        return reason, {swapped[0]: compiled.ok and not _sorry_at(compiled, starts[0],
+                                                                   tactics[0])}
+    if reason is not None:
+        return reason, {}
     errors: dict[_Sequence, list[tuple[int, int]]] = {}
-    for e in failures:
+    for e in compiled.errors:
         errors.setdefault(_innermost(sequences, e.pos), []).append(
             (e.pos.line, e.pos.column))
     peers: dict[_Sequence, list[int]] = {}  # the open sites of each sequence
-    for k, seq in enumerate(within):
-        peers.setdefault(seq, []).append(k)
+    for k, i in enumerate(swapped):
+        peers.setdefault(within[i], []).append(k)
     verdicts: dict[int, bool] = {}
     for seq, (k, *later) in peers.items():  # the later ones wait
         outer, cut = seq.parent, False
@@ -253,7 +275,13 @@ def _read_wave(compiled: CompileResult, swapped: list[int], starts: list[tuple[i
                 verdicts[swapped[k]] = False
             continue
         verdicts[swapped[k]] = not _sorry_at(compiled, starts[k], tactics[k])
-    return None, verdicts
+    return (None if verdicts else "a wave that decides nothing"), verdicts
+
+
+def _first(candidates: list[str]) -> str:
+    """One tactic that closes its goal when any of `candidates` does: each
+    must close it alone (`done`), and a failed one is rolled back."""
+    return "first " + " ".join(f"| ({c}; done)" for c in candidates)
 
 
 def _sorry_at(compiled: CompileResult, start: tuple[int, int], tactic: str) -> bool:
@@ -267,9 +295,9 @@ def _waves(s: SorrifiedScript, answers: list[list[str] | None], wide: bool,
            session, config: RepairConfig):
     """The trial waves of `solve_sorries` over the sites of `s`, from the
     `hint` answers given, at full width or, with `wide` False, at width
-    one.  Returns the committed text, its compile and the commits made, or
-    None when the last check of the committed text disagrees with the
-    waves."""
+    one, and the precheck after the first wave in which a candidate fails.
+    Returns the committed text, its compile and the commits made, or None
+    when the last check of the committed text disagrees with the waves."""
     text, result = s.script.text, s.compile_result
     verified = text  # the text that `result` compiled
     sites = list(result.sorries)
@@ -281,6 +309,7 @@ def _waves(s: SorrifiedScript, answers: list[list[str] | None], wide: bool,
     commits: dict[int, CommittedTactic] = {}
     sequences = _sequences(s.script) if len(sites) > 1 else []
     within = [_innermost(sequences, site.pos) for site in sites] if sequences else []
+    precheck = None  # True when the next compile is the precheck, False once made
 
     def narrow(reason: str) -> bool:
         log.debug("autosolver: width one after %s", reason)
@@ -297,21 +326,30 @@ def _waves(s: SorrifiedScript, answers: list[list[str] | None], wide: bool,
         if spent:  # out of candidates: the site keeps its sorry
             live = [i for i in live if i not in spent]
             continue
-        swaps = [(sites[i], ladders[i][tried[i]]) for i in swapped]
-        wave, starts = _swap(text, swaps)
-        compiled = check_script(wave, session, _wave_timeout(config, len(swapped)))
-        if len(swapped) == 1:
-            # one site swapped: every error is its own (`ok` means none)
-            reason, verdicts = None, {
-                swapped[0]: compiled.ok and not _sorry_at(compiled, starts[0], swaps[0][1])}
+        if precheck:  # does anything left on its ladder close each site?
+            tactics = [_first(ladders[i][tried[i]:]) for i in swapped]
+            trials = sum(len(ladders[i]) - tried[i] for i in swapped)
         else:
-            reason, verdicts = _read_wave(compiled, swapped, starts, [t for _, t in swaps],
-                                          [within[i] for i in swapped], sequences)
-        if reason is None and not verdicts:
-            reason = "a wave that decides nothing"
-        if reason is not None:
+            tactics = [ladders[i][tried[i]] for i in swapped]
+            trials = len(swapped)
+        swaps = [(sites[i], tactic) for i, tactic in zip(swapped, tactics)]
+        wave, starts = _swap(text, swaps)
+        compiled = check_script(wave, session, _wave_timeout(config, trials))
+        reason, verdicts = _read_wave(compiled, swapped, starts, tactics, within, sequences)
+        if precheck:
+            precheck = False
+            dropped = [] if reason else [i for i in swapped if verdicts.get(i) is False]
+            for i in dropped:  # nothing left closes it: it keeps its sorry
+                tried[i] = len(ladders[i])
+            log.debug("autosolver: precheck over %d open sites: %d dropped, %d kept%s",
+                      len(swapped), len(dropped), len(swapped) - len(dropped),
+                      f" (unread after {reason})" if reason else "")
+            continue
+        if not verdicts:
             wide = narrow(reason)
             continue
+        if precheck is None and False in verdicts.values():
+            precheck = True
         closed = sum(verdicts.values())
         log.debug("autosolver: wave over %d open sites: %d closed, %d undecided",
                   len(swapped), closed, len(swapped) - len(verdicts))
@@ -352,15 +390,17 @@ def solve_sorries(s: SorrifiedScript, session,
                   config: RepairConfig | None = None) -> SorrifiedScript:
     """Try to discharge every sorry: one `hint` wave over all sites, then
     the trial waves, each one compile that tries every open site's next
-    candidate, and commit the first that closes each site.  A commit edits
-    one line, so line ranges never move.  The wave that closes the last
-    open site is the result; otherwise one more compile of the committed
-    text must pass with a sorry at exactly the sites left open, or the
-    waves run again from the start at width one.  With nothing committed,
-    no compile is added and the input's compile stands.  Sites that resist
-    all candidates stay sorried.  The text is parsed once, at the end, and
-    only when something was committed.  The result still compiles Pass or
-    PassWithSorries."""
+    candidate, and commit the first that closes each site.  After the
+    first wave in which a candidate fails, one precheck compile drops every
+    site that nothing left on its ladder closes, so the waves go on only
+    where a candidate will land.  A commit edits one line, so line ranges
+    never move.  The wave that closes the last open site is the result;
+    otherwise one more compile of the committed text must pass with a
+    sorry at exactly the sites left open, or the waves run again from the
+    start at width one.  With nothing committed, no compile is added and
+    the input's compile stands.  Sites that resist all candidates stay
+    sorried.  The text is parsed once, at the end, and only when something
+    was committed.  The result still compiles Pass or PassWithSorries."""
     config = config or RepairConfig()
     if not s.compile_result.sorries:
         return s

@@ -23,9 +23,16 @@ The "kernel" is a tiny tactic interpreter:
   "hint found no applicable tactics") at its own token, as Mathlib's `hint`
   logs its suggestions at the tactic's syntax, and then closes the goal
   like `sorry`;
+* `first | s₁ | … | sₙ` runs the first alternative that succeeds, a failed
+  one leaving no message, and reports only the last one's failure when all
+  fail; `(t₁; t₂)` runs its tactics in order, and `done` fails while the
+  goal is open;
 * everything else is resolved against a rule table loaded with --rules:
   entries either close a goal, or step it to a new goal, optionally
   requiring named hypotheses to be in scope.
+
+`FakeRepl.evaluated` counts the leaf tactics run (neither `first` nor a
+parenthesised sequence is one), a cost figure beside the compile count.
 
 A declaration that records a sorry gets a `declaration uses 'sorry'`
 warning at its name (at the keyword of an `example`).
@@ -265,6 +272,7 @@ class Context:
 class Checker:
     def __init__(self, table: RuleTable):
         self.table = table
+        self.evaluated = 0  # leaf tactics run, over every command
 
     # -- statement parsing --
 
@@ -336,11 +344,51 @@ class Checker:
     def steps_for(self, g: str, t: str):
         return [r for r in self.table.steps if r["goal"] == g and r["tactic"] == t]
 
+    def eval_seq(self, goal: str, seq: str, ctx: Context, state: "TheoremState"):
+        """Run the `;`-separated tactics of `seq` in order: the verdict of
+        the last, a goal left open as `("step", goal)`, or the first
+        failure.  `done` fails while the goal is open."""
+        tactics = _split_top(seq, ";")
+        if any(not t.strip() for t in tactics):
+            return ("unknown", "unexpected token ';'")
+        outcome = ("step", goal)
+        for tactic in tactics:
+            if outcome[0] != "step":
+                if tactic.strip() != "done":
+                    return ("fail", "no goals to be solved")
+                self.evaluated += 1  # with no goal left, `done` succeeds
+                continue
+            outcome = self.eval_tactic(outcome[1], tactic, ctx, state)
+            if outcome[0] in ("fail", "unknown"):
+                return outcome
+        return outcome
+
+    def eval_first(self, goal: str, rest: str, ctx: Context, state: "TheoremState"):
+        """`first | s₁ | … | sₙ`: the first alternative that succeeds, or the
+        last one's failure.  A failed alternative leaves nothing behind,
+        since only the verdict kept is written to the state.  An unknown
+        tactic is a parse error under Lean, which no alternative catches."""
+        alternatives = _split_top(rest, "|")
+        if alternatives[0].strip() or len(alternatives) < 2:
+            return ("unknown", "expected '|' after 'first'")
+        for alternative in alternatives[1:]:
+            outcome = self.eval_seq(goal, alternative, ctx, state)
+            if outcome[0] != "fail":
+                return outcome
+        return outcome
+
     def eval_tactic(self, goal: str, tactic: str, ctx: Context, state: "TheoremState"):
         text = tactic.strip()
+        if re.match(r"first\b", text):
+            return self.eval_first(goal, text[len("first"):], ctx, state)
+        if text.startswith("(") and _closing_paren(text) == len(text) - 1:
+            return self.eval_seq(goal, text[1:-1], ctx, state)
+        self.evaluated += 1
         head_m = re.match(r"[A-Za-z_][A-Za-z0-9_'!?]*", text)
         head = head_m.group(0) if head_m else text[:1]
 
+        if head == "done":
+            return ("fail", "unsolved goals\n⊢ " + goal)
         if head in ("sorry", "admit"):
             return ("sorry", None)
         if head == "hint":
@@ -414,6 +462,11 @@ class FakeRepl:
         self.env_counter = 0
         self.proof_state_counter = 0
         self.pp_envs: set[int] = set()  # envs whose commands set pp options
+
+    @property
+    def evaluated(self) -> int:
+        """Leaf tactics run over every command so far."""
+        return self.checker.evaluated
 
     # -- rendering --
 
@@ -682,6 +735,31 @@ def _blank_block_comments(cmd: str) -> tuple[str, bool]:
         if depth:
             return "".join(out), False
     return "".join(out) + cmd[kept:], True
+
+
+def _split_top(text: str, sep: str) -> list[str]:
+    """`text` cut at every `sep` outside brackets; the `;` of `<;>` and the
+    `|` of `<|>` cut nothing."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "([{⦃⟨":
+            depth += 1
+        elif ch in ")]}⦄⟩":
+            depth -= 1
+        elif ch == sep and depth == 0 and text[i - 1 : i] != "<":
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
+
+
+def _closing_paren(text: str) -> int:
+    """Where the bracket that opens `text` closes, or -1."""
+    depth = 0
+    for i, ch in enumerate(text):
+        depth += (ch in "([{⦃⟨") - (ch in ")]}⦄⟩")
+        if depth == 0:
+            return i
+    return -1
 
 
 def _top_level(line: str, at: int) -> bool:

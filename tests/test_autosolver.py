@@ -39,6 +39,7 @@ from apollo.repl import (
     start_session,
 )
 from apollo.sorrifier import SorrifiedScript, check_script, sorrify
+from apollo.testing.fake_repl import FakeRepl, RuleTable
 from conftest import FIXTURES, fake_repl_cmd
 
 RULES = {
@@ -116,8 +117,9 @@ def test_hint_suggestion_validated_and_filtered(session):
     # the hint suggestion that closes, past the one that only makes progress
     assert out.commits[0].tactic == suggestions[1]
     assert suggestions[1] not in suite_candidates()
-    # the hint wave, then one trial per suggestion up to the one that closes
-    assert session.checks_issued - before == 3
+    # the hint wave, the first suggestion's trial, the precheck (something
+    # left on the ladder closes the site), then the trial that closes
+    assert session.checks_issued - before == 4
 
 
 def test_hint_failure_yields_empty_list(session):
@@ -170,7 +172,8 @@ class _HintRepl:
     message at its own position offering `suggest(column)` (under Lean a
     failed `hint` aborts the rest of its block, so a later one says
     nothing); with `wave_times_out`, a compile with more than one `hint`
-    times out.  A suite tactic anywhere in the code is an error."""
+    times out.  A suite tactic anywhere in the code is an error, except in
+    a `first | (c; done) | …` that some alternative without one closes."""
 
     def __init__(self, suggest=lambda column: "rfl", answered=None,
                  wave_times_out=False):
@@ -190,13 +193,27 @@ class _HintRepl:
                      "endPos": {"line": no, "column": col + 4},
                      "data": "Try these:\n• " + self.suggest(col)}
                     for no, col in hints[:self.answered]]
-        if any(re.search(rf"\b{tactic}\b", code) for tactic in DEFAULT_SUITE):
+        judged = _FIRST.sub(lambda m: "" if any(not _suite_in(alt) for alt in _alternatives(
+            m.group())) else m.group(), code)
+        if _suite_in(judged):
             messages.append({"severity": "error", "pos": {"line": 1, "column": 0},
                              "endPos": None, "data": "tactic failed"})
         sorries = [{"pos": {"line": no, "column": m.start()},
                     "endPos": {"line": no, "column": m.end()}, "goal": "⊢ G"}
                    for no, m in tokens]
         return classify({"env": 0, "messages": messages, "sorries": sorries})
+
+
+_FIRST = re.compile(r"first(?: \| \(.*?; done\))+")
+
+
+def _alternatives(first):
+    """The candidates of a `first | (c; done) | …` tactic, in order."""
+    return re.findall(r"\((.*?); done\)", first)
+
+
+def _suite_in(code):
+    return any(re.search(rf"\b{tactic}\b", code) for tactic in DEFAULT_SUITE)
 
 
 def _stub_sorrified(text, stub):
@@ -427,9 +444,12 @@ class _Recording:
 
 def _against_reference(s, session, config=None):
     """Run the waves and the reference on `s`; both must commit the same
-    tactic at each site and give the same text and sites, the waves in no
-    more compiles, and a one-site input must send the same compiles.
-    Returns the two compile counts."""
+    tactic at each site and give the same text and sites.  An input of
+    several sites must take the waves no more compiles.  On a one-site
+    input the first two compiles (`hint`, the first candidate) are the
+    reference's; a site that nothing closes then costs one more, the
+    precheck, and a site that a later candidate closes costs the
+    reference's count plus the precheck.  Returns the two compile counts."""
     waves, reference = _Recording(session), _Recording(session)
     out = solve_sorries(s, waves, config)
     expected = reference_solve(s, reference, config)
@@ -437,8 +457,14 @@ def _against_reference(s, session, config=None):
     assert serialize(out.script) == serialize(expected.script)
     assert out.compile_result.sorries == expected.compile_result.sorries
     assert out.compile_result.ok
-    assert len(waves.sent) <= len(reference.sent)
-    if len(s.compile_result.sorries) == 1:
+    if len(s.compile_result.sorries) > 1:
+        assert len(waves.sent) <= len(reference.sent)
+    elif not out.commits:
+        assert waves.sent[:2] == reference.sent[:2] and len(waves.sent) == 3
+    elif len(reference.sent) > 2:
+        assert waves.sent[:2] == reference.sent[:2]
+        assert len(waves.sent) == len(reference.sent) + 1
+    else:  # the first candidate closes: no precheck
         assert waves.sent == reference.sent
     return len(waves.sent), len(reference.sent)
 
@@ -448,14 +474,42 @@ def test_waves_match_the_reference_on_the_worked_example(session_332):
         encoding="utf-8")
     worked = _sorrified(refine(source)[0], session_332)
     assert len(worked.compile_result.sorries) == 6
-    # the two sites that nothing closes spend their 22 candidates in 22
-    # waves, and one compile checks the committed text
-    assert _against_reference(worked, session_332) == (1 + 22 + 1, 1 + 57)
+    # the precheck after the first wave drops the two sites that nothing
+    # closes, and the last of the four that close wins at ladder place 6:
+    # `hint`, seven waves and the precheck, the last wave being the result
+    assert _against_reference(worked, session_332) == (1 + 7 + 1, 1 + 57)
 
 
 def test_waves_match_the_reference_on_multi_have(session):
     waves, reference = _against_reference(_sorrified(MULTI_HAVE, session), session)
     assert waves < reference
+
+
+def _leaf_tactics(sent, rules):
+    """The leaf tactics an in-process fake REPL runs over the compiles
+    `sent`, the second cost figure beside their number."""
+    repl = FakeRepl(RuleTable.load(str(rules)))
+    for code, _ in sent:
+        repl.handle(code)
+    return repl.evaluated
+
+
+def test_the_precheck_runs_no_more_leaf_tactics_than_the_reference(
+        session_332, session, rules_path):
+    """The precheck puts a whole ladder into one compile, but each compile
+    the reference makes runs the whole proof again: replayed, the waves
+    with the precheck run fewer leaf tactics than the per-site loop."""
+    source = (FIXTURES / "llm_332" / "mathd_algebra_332" / "000.lean").read_text(
+        encoding="utf-8")
+    inputs = [(_sorrified(refine(source)[0], session_332), session_332,
+               FIXTURES / "rules_332.json"),
+              (_sorrified(MULTI_HAVE, session), session, rules_path)]
+    for s, on, rules in inputs:
+        waves, reference = _Recording(on), _Recording(on)
+        solve_sorries(s, waves)
+        reference_solve(s, reference)
+        assert any(code.count("first |") > 1 for code, _ in waves.sent)  # a precheck
+        assert _leaf_tactics(waves.sent, rules) <= _leaf_tactics(reference.sent, rules)
 
 
 @pytest.fixture(scope="module")
@@ -558,7 +612,8 @@ class _WaveRepl:
     line `  show pN by TAC` a site in the proof body's sequence: TAC
     `sorry` is a sorry, `hint` is a sorry that, for the first `answered` of
     them in a compile, suggests `simp only [foo]`, the site's closer in
-    `closers` closes it, and anything else is an error at TAC.
+    `closers` closes it, and so does a `first | (c; done) | …` with the
+    closer among its alternatives; anything else is an error at TAC.
     `react(tactics)`, given every site line's TAC in order, may return a
     status for the whole reply or messages to add to it."""
 
@@ -582,7 +637,8 @@ class _WaveRepl:
                 if tactic == "hint" and (self.answered is None or hints < self.answered):
                     messages.append(_message("info", no, column, "Try these:\n• simp only [foo]"))
                 hints += tactic == "hint"
-            elif tactic != self.closers.get(m.group(1) or m.group(2)):
+            elif self.closers.get(m.group(1) or m.group(2)) not in (
+                    _alternatives(tactic) if tactic.startswith("first ") else [tactic]):
                 messages.append(_message("error", no, column, "tactic failed"))
         return classify({"env": 0, "messages": messages, "sorries": sorries})
 
@@ -607,23 +663,31 @@ _HEARTBEATS = ("(deterministic) timeout at `whnf`, maximum number of heartbeats 
                "to set the limit.")
 
 
-# `simp_all` comes fourth on every ladder, in the fourth wave, while `h2`
-# and `h3` are open
+# `norm_num` comes second on every ladder, in the second wave, while `h1`
+# and `h2` are open: the precheck after the first wave dropped `h3`
 
 
 def _slow(status):
-    return lambda tactics: status if "simp_all" in tactics else None
+    return lambda tactics: status if "norm_num" in tactics else None
 
 
 def _heavy(tactics):
-    if "simp_all" in tactics:
-        return [_message("error", 3 + tactics.index("simp_all"), 20, _HEARTBEATS)]
+    if "norm_num" in tactics:
+        return [_message("error", 3 + tactics.index("norm_num"), 20, _HEARTBEATS)]
     return None
+
+
+def _unread_precheck(react, reply=TIMEOUT):
+    """`react`, but `reply` (a status or messages) to the precheck."""
+    return lambda tactics: (reply if any(t.startswith("first ") for t in tactics)
+                            else react(tactics))
 
 
 def _broken_together(tactics):
     # an error on the last line once `h1` and `h2` are committed and `h3`
-    # is a sorry: the waves see it only in the check of the committed text
+    # is a sorry: the waves see it only in the check of the committed text,
+    # which they make when `h3` spent its ladder in them, that is when the
+    # precheck could not be read
     return [_message("error", 6, 2, "type mismatch")] if tactics == [
         "simp", "ring_nf", "sorry"] else None
 
@@ -640,7 +704,8 @@ def _cut_short(tactics):
     (dict(react=_slow(TIMEOUT)), "a timeout"),
     (dict(react=_slow(REPL_CRASH)), "a crash"),
     (dict(react=_heavy), "a maxHeartbeats error"),
-    (dict(react=_broken_together), "the last check of the committed text disagrees"),
+    (dict(react=_unread_precheck(_broken_together)),
+     "the last check of the committed text disagrees"),
     (dict(react=_cut_short), "a wave that decides nothing"),
     (dict(answered=1), "a site the hint wave left unanswered"),
 ], ids=["timeout", "crash", "heartbeats", "final_check", "decides_nothing", "unanswered"])
@@ -659,22 +724,50 @@ def test_waves_without_a_trigger_stay_wide(caplog):
     s = _stub_sorrified(THREE_HAVES, _WaveRepl(CLOSERS))
     with caplog.at_level(logging.DEBUG, logger="apollo.autosolver"):
         out = solve_sorries(s, _WaveRepl(CLOSERS))
-    waves = [m for m in caplog.messages if m.startswith("autosolver: wave")]
+    # the precheck after the first wave drops h3, which nothing closes; h1
+    # closes in the third wave and h2 in the fifth, which is the result
+    assert caplog.messages == [
+        "autosolver: wave over 3 open sites: 0 closed, 0 undecided",
+        "autosolver: precheck over 3 open sites: 1 dropped, 2 kept",
+        "autosolver: wave over 2 open sites: 0 closed, 0 undecided",
+        "autosolver: wave over 2 open sites: 1 closed, 0 undecided",
+        "autosolver: wave over 1 open sites: 0 closed, 0 undecided",
+        "autosolver: wave over 1 open sites: 1 closed, 0 undecided"]
+    assert [(c.site.pos.line, c.tactic) for c in out.commits] == [(3, "simp"), (4, "ring_nf")]
+    assert out.compile_result.sorries[0].pos.line == 5
+
+
+@pytest.mark.parametrize("reply,reason", [
+    (TIMEOUT, "a timeout"),
+    (REPL_CRASH, "a crash"),
+    ([_message("error", 3, 20, _HEARTBEATS)], "a maxHeartbeats error"),
+], ids=["timeout", "crash", "heartbeats"])
+def test_a_precheck_that_cannot_be_read_drops_no_site(caplog, reply, reason):
+    """The waves then run as without a precheck: they stay wide, h3 spends
+    its 23 candidates in them, and the commits are the reference's."""
+    stub = dict(react=_unread_precheck(lambda tactics: None, reply))
+    s = _stub_sorrified(THREE_HAVES, _WaveRepl(CLOSERS, **stub))
+    with caplog.at_level(logging.DEBUG, logger="apollo.autosolver"):
+        out = solve_sorries(s, _WaveRepl(CLOSERS, **stub))
+    assert caplog.messages[1] == (
+        f"autosolver: precheck over 3 open sites: 0 dropped, 3 kept (unread after {reason})")
     assert not any("width one" in m for m in caplog.messages)
-    # h1 closes in the third wave and h2 in the fifth; h3 spends its 23
-    # candidates alone
+    waves = [m for m in caplog.messages if m.startswith("autosolver: wave")]
     assert waves[:3] == ["autosolver: wave over 3 open sites: 0 closed, 0 undecided"] * 2 + [
         "autosolver: wave over 3 open sites: 1 closed, 0 undecided"]
-    assert waves[4] == "autosolver: wave over 2 open sites: 1 closed, 0 undecided"
     assert len(waves) == 23
+    expected = reference_solve(s, _WaveRepl(CLOSERS, **stub))
+    assert out.commits == expected.commits
     assert [(c.site.pos.line, c.tactic) for c in out.commits] == [(3, "simp"), (4, "ring_nf")]
+    assert serialize(out.script) == serialize(expected.script)
 
 
 def test_a_site_waits_for_an_earlier_one_in_its_sequence(caplog):
     """Two sites in the proof body's sequence: the later one waits while
-    the earlier is open.  The earlier fails on an error before the later
-    site, and waits when the only error stands at the later site, which
-    either candidate could have caused: that wave decides nothing."""
+    the earlier is open, in the waves and in the precheck, which keeps
+    both.  The earlier fails on an error before the later site, and waits
+    when the only error stands at the later site, which either candidate
+    could have caused: that wave decides nothing."""
     text = ("theorem t : G := by\n"
             "  show p1 by sorry\n"
             "  show p2 by sorry\n"
@@ -683,8 +776,10 @@ def test_a_site_waits_for_an_earlier_one_in_its_sequence(caplog):
     s = _stub_sorrified(text, _WaveRepl(closers))
     with caplog.at_level(logging.DEBUG, logger="apollo.autosolver"):
         out = solve_sorries(s, _WaveRepl(closers))
-    assert caplog.messages[:3] == [
-        "autosolver: wave over 2 open sites: 0 closed, 1 undecided"] * 2 + [
+    assert caplog.messages[:4] == [
+        "autosolver: wave over 2 open sites: 0 closed, 1 undecided",
+        "autosolver: precheck over 2 open sites: 0 dropped, 2 kept",
+        "autosolver: wave over 2 open sites: 0 closed, 1 undecided",
         "autosolver: width one after a wave that decides nothing"]
     expected = reference_solve(s, _WaveRepl(closers))
     assert out.commits == expected.commits

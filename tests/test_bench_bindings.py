@@ -79,10 +79,10 @@ def test_traced_worked_example_counts(pool_332, tmp_path):
     metrics = tracer.metrics()
     assert sum(v for k, v in metrics.items() if k.startswith("repl.compiles.")) == compiles
     assert metrics["autosolver.sites"] == metrics["repl.compiles.hint"]
-    # one `hint` wave answers all six sites; 22 trial waves (the two sites
-    # that nothing closes spend their ladders) and one check of the
-    # committed text
+    # one `hint` wave answers all six sites; the first trial wave, the
+    # precheck, which drops the two sites that nothing closes, and six more
+    # waves, the last of which closes the last open site
     assert metrics["repl.compiles.hint"] == 1
-    assert metrics["repl.compiles.suite"] == 23
+    assert metrics["repl.compiles.suite"] == 8
     assert metrics["goals.splices"] == 2
     assert metrics["sorrifier.repairs"] == 6

@@ -203,3 +203,78 @@ def test_exact_does_not_see_a_theorem_of_another_command():
     same = repl.handle("theorem foo : 1 = 1 := by\n  rfl\n"
                        "theorem t : 1 = 1 := by\n  exact foo\n")
     assert same["messages"] == []
+
+
+# Row 2(c): `first | …`, parenthesised `;` sequences and `done`, which the
+# auto-solver's precheck writes at every open site.  Where every
+# alternative fails, the fake puts the one error at the tactic's first
+# column, the `first` keyword, where Lean puts it at the last alternative's
+# failing tactic: those rows pin only the line, as row 2(e) does.
+
+FIRST_SOURCE = (
+    "Lean/Elab/Tactic/BuiltinTactic.lean: `evalFirst` tries each "
+    "alternative with `<|>` and, past the last, rethrows that one's "
+    "exception; `evalParen` runs the tactic sequence inside the "
+    "parentheses, one tactic after another; `evalDone` reports `unsolved "
+    "goals` and fails while a goal is open.  Lean/Elab/Tactic/Basic.lean: "
+    "the `<|>` of `TacticM` catches by restoring the state saved before "
+    "the alternative, and that `SavedState.restore` puts back the message "
+    "log (Lean/CoreM.lean), so a failed alternative leaves no message.  "
+    "Init/Tactics.lean: `t <;> s` is a macro for `focus (t; all_goals s)`, "
+    "one tactic inside a sequence.  Unverified here against Lean, which is "
+    "not installed")
+
+FIRST_TABLE = RuleTable(
+    closes=[{"goal": "G1", "tactic": "ring_nf", "requires": []}],
+    steps=[{"goal": "G4", "tactic": "constructor", "becomes": "G1", "requires": []}])
+
+
+def _first_reply(goal, tactic):
+    return FakeRepl(FIRST_TABLE).handle(
+        f"theorem t : 1 = 1 := by\n  have h : {goal} := by\n    {tactic}\n  rfl\n")
+
+
+def test_first_closes_with_a_later_alternative_and_the_failed_ones_leave_nothing():
+    """Row: the first alternative that closes the goal is kept, and the
+    alternatives that failed before it leave no message.  Source:
+    FIRST_SOURCE."""
+    reply = _first_reply("2 + 2 = 4", "first | (exact h_missing; done) | (norm_num; done)")
+    assert reply["messages"] == [] and reply["sorries"] == []
+
+
+def test_an_alternative_that_only_makes_progress_fails_under_done():
+    """Row: `done` fails while a goal is open, so an alternative that only
+    makes progress fails; without `done` the same sequence is kept, and the
+    tactics of a parenthesised sequence run in order.  Source:
+    FIRST_SOURCE."""
+    [((line, _), message)] = _errors(_first_reply("G4", "first | (constructor; done)"))
+    assert line == 3 and message.startswith("unsolved goals")
+    assert _first_reply("G4", "first | (constructor; done) | (constructor; ring_nf; done)")[
+        "messages"] == []
+    assert _first_reply("G4", "(constructor; ring_nf)")["messages"] == []
+
+
+def test_when_every_alternative_fails_one_error_is_reported_the_last_ones():
+    """Row: with every alternative failed, `first` reports one error, the
+    last alternative's, on the tactic's line.  The message's wording is the
+    fake's own.  Source: FIRST_SOURCE."""
+    reply = _first_reply("3 * 3 = 10", "first | (exact h_missing; done) | (norm_num; done)")
+    [((line, _), message)] = _errors(reply)
+    assert line == 3 and message == "norm_num evaluated the goal to False"
+
+
+def test_a_combinator_inside_parentheses_runs_as_one_tactic():
+    """Row: `t <;> s` inside a parenthesised alternative is one tactic of
+    its sequence.  Source: FIRST_SOURCE."""
+    reply = _first_reply("2 + 2 = 4",
+                         "first | (exact h_missing; done) | (norm_num <;> linarith; done)")
+    assert reply["messages"] == []
+
+
+def test_the_fake_counts_leaf_tactics_and_not_first():
+    """Not a row: the fake's second cost figure, beside the compile count.
+    Here `exact`, `norm_num` and `done` run inside `first`, then `rfl`."""
+    repl = FakeRepl(FIRST_TABLE)
+    repl.handle("theorem t : 1 = 1 := by\n  have h : 2 + 2 = 4 := by\n"
+                "    first | (exact h_missing; done) | (norm_num; done)\n  rfl\n")
+    assert repl.evaluated == 4
