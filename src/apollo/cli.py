@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import RepairConfig
 from .engine import FAILED, PROVED, apollo
-from .errors import ApolloError, IngestError, NoProofBody, ParseError
+from .errors import ApolloError, IngestError, NoProofBody
 from .llm import HttpBackend, MockBackend
 from .proofscript import TheoremStatement, parse_script
 from .repl import SessionPool, start_session
@@ -84,7 +84,7 @@ def load_dataset(path) -> list[BenchmarkItem]:
     try:
         for item in items:
             item.statement()
-    except (ParseError, ApolloError) as exc:
+    except ApolloError as exc:
         raise IngestError(f"unusable formal_statement for {item.name!r}: {exc}")
     return items
 

@@ -55,13 +55,13 @@ class BudgetLedger:
         with self._lock:
             self.tokens_generated += n
 
-    def add_repl_calls(self, n: int = 1):
+    def add_repl_calls(self, n: int):
         with self._lock:
             self.repl_calls += n
 
-    def trigger(self, module: str, n: int = 1):
+    def trigger(self, module: str):
         with self._lock:
-            self.module_triggers[module] += n
+            self.module_triggers[module] += 1
 
     def snapshot(self) -> dict:
         with self._lock:

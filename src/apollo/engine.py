@@ -21,6 +21,7 @@ from .errors import (
     BackendError,
     BudgetExhausted,
     ExtractError,
+    NoProofBody,
     ParseError,
     RefineError,
     SorrifyError,
@@ -39,7 +40,6 @@ from .proofscript import (
     ProofScript,
     TheoremStatement,
     count_sorries,
-    normalize,
     parse_script,
     replace_lines,
     serialize,
@@ -205,37 +205,30 @@ def _generate(run: _Run, statement: TheoremStatement, mode: str, depth: int,
     return result.candidates
 
 
-def _compile_as_generated(session, statement: TheoremStatement, text: str,
-                          config: RepairConfig
-                          ) -> tuple[CompileResult, SorrifiedScript | None]:
-    """Compile `normalize(text)`, the text its parse keeps.  It is accepted
-    when the compile passes, the text parses, the statement is unchanged and
-    no sorry is left (an empty body gains one): `_verdict`'s test for
-    Proved, on the same code.  Raises ParseError for an unterminated block comment, or
-    for a text that passes but does not parse."""
-    result = check_script(normalize(text), session, config.compile_timeout)
-    if result.status != PASS:
-        return result, None
-    script = parse_script(text, statement)
-    if not statement_matches(script, statement) or count_sorries(script):
-        return result, None
-    return result, SorrifiedScript(script, [], result)
-
-
 def _process_candidate(run: _Run, session, statement: TheoremStatement,
                        text: str, index: int, depth: int) -> _CandidateState:
+    """Parse the candidate and compile the parsed text; refine it when it
+    does not parse or its compile fails, and compile the refined text once.
+    A Proved candidate is kept as it is.  Otherwise it is dropped when
+    neither the auto-solver nor the re-invoker is on, and sorrified when
+    one is, its compile standing for sorrify's first round unless it timed
+    out or crashed."""
     config = run.config
     touched = False
-    plain_mode = not (config.enable_auto_solver or config.enable_llm_reinvoker)
+
+    def parse_and_compile(text):
+        # (None, None) for a text with no `:= by` body or another statement
+        try:
+            script = parse_script(text, statement)
+        except NoProofBody:
+            return None, None
+        if not statement_matches(script, statement):
+            return None, None
+        return script, check_script(script.text, session, config.compile_timeout)
 
     try:
-        result, accepted = _compile_as_generated(session, statement, text, config)
-        if accepted is not None:
-            run.audit.append(depth, "orchestrator", "candidate_pass",
-                             f"candidate {index} verified as generated")
-            return _CandidateState(index, accepted, 0, touched)
-
-        if result.status == FAIL and config.enable_syntax_refiner:
+        script, result = parse_and_compile(text)
+        if config.enable_syntax_refiner and (script is None or result.status == FAIL):
             try:
                 refined, applied = refine(text, run.rules)
             except RefineError as exc:
@@ -245,24 +238,19 @@ def _process_candidate(run: _Run, session, statement: TheoremStatement,
             if applied:
                 run.ledger.trigger(MODULE_SYNTAX_REFINER)
                 run.audit.append(depth, "syntax_refiner", "applied", ",".join(applied))
-                text = refined
                 touched = True
-                if plain_mode:
-                    result, accepted = _compile_as_generated(session, statement,
-                                                             text, config)
-                    if accepted is not None:
-                        return _CandidateState(index, accepted, 0, touched)
-
-        if plain_mode:
+                script, result = parse_and_compile(refined)
+        if script is None:
             return _CandidateState(index, None, -1, touched)
-        script = parse_script(text, statement)
-        if not statement_matches(script, statement):
+        if _verdict(script, result)[0] == PROVED:
+            if not touched:
+                run.audit.append(depth, "orchestrator", "candidate_pass",
+                                 f"candidate {index} verified as generated")
+            return _CandidateState(index, SorrifiedScript(script, [], result), 0, touched)
+        if not (config.enable_auto_solver or config.enable_llm_reinvoker):
             return _CandidateState(index, None, -1, touched)
-        # the candidate compile is sorrify's first round when it compiled
-        # this very text and came back with an answer
-        reuse = (not touched and script.text == normalize(text)
-                 and result.status not in (TIMEOUT, REPL_CRASH))
-        sorrified = sorrify(script, session, config, result if reuse else None)
+        sorrified = sorrify(script, session, config,
+                            None if result.status in (TIMEOUT, REPL_CRASH) else result)
     except (ParseError, SorrifyError):
         return _CandidateState(index, None, -1, touched)
     if sorrified.actions:
@@ -350,16 +338,17 @@ def _frame(run: _Run, session, statement: TheoremStatement, depth: int,
     processed: list[_CandidateState] = []
     for index, text in enumerate(candidates):
         state = _process_candidate(run, session, statement, text, index, depth)
+        processed.append(state)
+        if not state.usable:
+            continue
         # a SorrifiedScript's compile_result is the compile of its text
-        if (state.usable and state.sorries == 0
-                and state.sorrified.compile_result.status == PASS):
+        status, result = _verdict(state.sorrified.script, state.sorrified.compile_result)
+        if status == PROVED:
             if state.touched:
                 run.assisted = True
             run.audit.append(depth, "orchestrator", "proved",
                              f"{statement.name} via candidate {index}")
-            return _FrameResult(PROVED, state.sorrified.script,
-                                verify_result=state.sorrified.compile_result)
-        processed.append(state)
+            return _FrameResult(status, state.sorrified.script, verify_result=result)
 
     if any(s.touched for s in processed):
         run.assisted = True

@@ -278,9 +278,10 @@ def check_script(text: str, session, timeout: float) -> CompileResult:
     BudgetExhausted before sending anything.  The compile's own timeout is
     not clamped to the time left: a compile that times out kills the REPL,
     which under real Lean re-imports Mathlib on respawn, so an overrun is
-    bounded by one compile timeout instead.  The auto-solver's `hint` wave,
-    one probe's time per site, is capped at `compile_timeout` to keep that
-    bound.
+    bounded by one compile timeout instead.  The auto-solver's waves (the
+    `hint` wave, every trial wave and the precheck), one candidate's time
+    per candidate tried, are capped at `compile_timeout` by `_wave_timeout`
+    to keep that bound.
     """
     check_deadline()
     code: list[str] = []

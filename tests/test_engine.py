@@ -540,22 +540,36 @@ class _ErrorReplyFor:
         self.inner = inner
         self.marker = marker
         self.checks_issued = 0
+        self.error_replies = 0
 
     def check(self, code, timeout=None):
         self.checks_issued += 1
         if self.marker in code:
+            self.error_replies += 1
             return classify({"message": "Unknown environment."})
         return self.inner.check(code, timeout)
 
 
-def test_error_reply_to_a_candidate_as_generated_is_never_proved(
-        mock_suite, plain_session):
-    session = _ErrorReplyFor(plain_session, "exact p0_witness")
-    outcome = apollo(suite_statement("thm_r0"), 0,
-                     RepairConfig(max_depth_r=0, k_per_goal=1),
-                     MockBackend(mock_suite["llm"]), SessionPool([session]))
-    assert outcome.status != PROVED
-    assert "candidate_pass" not in [e.action for e in outcome.audit.events]
+def test_error_reply_to_a_candidate_as_generated_is_never_proved(mock_suite):
+    # each candidate is proved when the REPL answers it
+    for name, marker, modes in [
+        ("thm_r0", "exact p0_witness", {}),
+        # the error reply answers the refined text, in plain mode and in full
+        ("thm_refine", ":= by\n  exact p4_witness",
+         {"enable_auto_solver": False, "enable_llm_reinvoker": False}),
+        ("thm_refine", ":= by\n  exact p4_witness", {}),
+    ]:
+        inner = start_session(fake_repl_cmd(mock_suite["rules"]))
+        session = _ErrorReplyFor(inner, marker)
+        try:
+            outcome = apollo(suite_statement(name), 0,
+                             RepairConfig(max_depth_r=0, k_per_goal=1, **modes),
+                             MockBackend(mock_suite["llm"]), SessionPool([session]))
+        finally:
+            inner.close()
+        assert session.error_replies == 1, name  # the candidate, never the probe
+        assert outcome.status != PROVED, (name, modes)
+        assert "candidate_pass" not in [e.action for e in outcome.audit.events]
 
 
 def test_item_time_limit_holds_past_the_last_generation(mock_suite, tmp_path):
@@ -705,3 +719,46 @@ def test_candidate_compile_without_an_answer_is_compiled_again_by_sorrify(
     assert (probed, first, second) == (PASS_WITH_SORRIES, status, status)
     assert again == candidate
     assert outcome.ledger.repl_calls == 3  # the probe, the candidate, sorrify
+
+
+def _one_candidate(name, text, mock_suite, tmp_path, **config_kwargs):
+    """apollo() at depth cap 0 on suite theorem `name`, whose one candidate
+    is `text`, and the code of every compile it sent."""
+    write_llm_fixtures(tmp_path / "llm", {name: text})
+    session = start_session(fake_repl_cmd(mock_suite["rules"]))
+    recording = _Recording(session)
+    try:
+        outcome = apollo(suite_statement(name), 0,
+                         RepairConfig(max_depth_r=0, k_per_goal=1, **config_kwargs),
+                         MockBackend(tmp_path / "llm"), SessionPool([recording]))
+    finally:
+        session.close()
+    assert outcome.ledger.repl_calls == len(recording.sent)
+    return outcome, [code for code, _ in recording.sent]
+
+
+def test_a_candidate_that_does_not_parse_is_not_compiled(mock_suite, tmp_path):
+    # `from by` leaves no `:= by` body, and with the refiner off nothing mends it
+    outcome, sent = _one_candidate("thm_refine", SUITE_CANDIDATES["thm_refine"],
+                                   mock_suite, tmp_path, enable_syntax_refiner=False)
+    assert outcome.failure_reason == "all_candidates_malformed"
+    assert len(sent) == 1  # the statement probe
+
+
+def test_a_candidate_that_changes_the_statement_is_not_compiled(mock_suite, tmp_path):
+    # Lean would pass it, but it proves P4 where the dataset states P0
+    outcome, sent = _one_candidate("thm_r0", "theorem thm_r0 : P4 := by\n  exact p4_witness\n",
+                                   mock_suite, tmp_path)
+    assert outcome.failure_reason == "all_candidates_malformed"
+    assert len(sent) == 1  # the statement probe
+
+
+def test_an_empty_body_is_compiled_once_with_its_sorry(mock_suite, tmp_path):
+    outcome, sent = _one_candidate("thm_fail", "theorem thm_fail : PF := by\n",
+                                   mock_suite, tmp_path)
+    assert outcome.status == PARTIAL_WITH_SORRIES
+    # the probe; the candidate, which is also sorrify's first round; the
+    # `hint` wave, the first trial wave and the precheck; the sub-lemma probe
+    assert len(sent) == 6
+    assert sent[1] == "theorem thm_fail : PF := by\n  sorry\n"
+    assert not any(code.rstrip().endswith(":= by") for code in sent)

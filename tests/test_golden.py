@@ -9,6 +9,8 @@ the REPL receives it, in the order sent.
 
 After a deliberate change of behaviour, regenerate both files with
     PYTHONPATH=src:tests python tests/test_golden.py
+which first prints each run whose `repl_calls` moved and names each run in
+which any other field moved.
 """
 
 import hashlib
@@ -116,6 +118,28 @@ def wire_digest(sent: list[list[str]]) -> str:
     return digest.hexdigest()
 
 
+def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per run whose `ledger.repl_calls` moved (old -> new), one
+    per run in which any other field moved, and the total of `repl_calls`."""
+    lines = []
+    for label in dict.fromkeys([*old, *new]):
+        if label not in old or label not in new:
+            lines.append(f"{label}: {'added' if label in new else 'removed'}")
+            continue
+        before, after = json.loads(old[label]), json.loads(new[label])
+        calls = before["ledger"].pop("repl_calls"), after["ledger"].pop("repl_calls")
+        if calls[0] != calls[1]:
+            lines.append(f"{label}: repl_calls {calls[0]} -> {calls[1]}")
+        moved = sorted(k for k in before.keys() | after.keys()
+                       if before.get(k) != after.get(k))
+        if moved:
+            lines.append(f"{label}: other fields moved: {', '.join(moved)}")
+    totals = [sum(json.loads(doc)["ledger"]["repl_calls"] for doc in docs.values())
+              for docs in (old, new)]
+    lines.append(f"total repl_calls {totals[0]} -> {totals[1]}")
+    return lines
+
+
 def render(docs: dict[str, str]) -> str:
     return json.dumps(docs, ensure_ascii=False, indent=1) + "\n"
 
@@ -128,6 +152,24 @@ def test_canonical_outcomes_byte_identical(tmp_path):
     for label, doc in docs.items():
         assert doc == expected[label], label
     assert render(docs) == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_changes_name_every_run_that_moved():
+    def doc(calls, status="proved", samples=1):
+        return json.dumps({"status": status, "ledger": {
+            "repl_calls": calls, "samples_used": samples}})
+
+    old = {"a": doc(5), "b": doc(3), "c": doc(2), "d": doc(1)}
+    new = {"a": doc(5), "b": doc(2), "c": doc(1, status="failed", samples=2),
+           "e": doc(4)}
+    assert changes(old, new) == [
+        "b: repl_calls 3 -> 2",
+        "c: repl_calls 2 -> 1",
+        "c: other fields moved: ledger, status",
+        "d: removed",
+        "e: added",
+        "total repl_calls 11 -> 12",
+    ]
 
 
 def test_no_apollo_call_compiles_the_same_code_twice(tmp_path):
@@ -150,6 +192,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as scratch:
         docs, sent = recorded_documents(Path(scratch))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for line in changes(old, docs):
+        print(line, file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(render(docs), encoding="utf-8")
     WIRE.write_text(wire_digest(sent) + "\n", encoding="utf-8")
