@@ -3,8 +3,9 @@
 The sites are the sorries of `check_script`, in position order.  One `hint`
 wave asks Lean for every site's suggestions at once: `hint` in place of
 each sorry, one compile, and each site's suggestions read from the info
-message at its own `hint` token.  Each site's ladder is its suggestions,
-then a fixed suite of finishing tactics, then two-step combinations.
+message on its own `hint` token, where `_swap` says it starts.  Each
+site's ladder is its suggestions, then a fixed suite of finishing tactics,
+then two-step combinations.
 
 Then the trials run in waves.  A wave is one compile of an edited text,
 never parsed: every open site holds the next untried candidate of its own
@@ -22,13 +23,22 @@ candidate is never committed, so it cannot damage the script.
 
 Most sites that survive their first candidate survive them all, so after
 the first wave in which a candidate fails, one precheck compile asks
-whether anything is left that closes each site: every site the waves
-would swap holds `first | (c₁; done) | … | (cₙ; done)` over the untried
-rest of its ladder, and is read like a wave.  A site it fails keeps its
-sorry and leaves the waves; the others go on as before, so the candidate
-committed at each is the same.  Nothing is committed from the precheck,
-and one that cannot be read (a timeout, a crash, a `maxHeartbeats` error,
-a reply that decides nothing) drops no site and does not narrow.
+whether anything is left that closes each site, and what: every site the
+waves would swap holds `first | (trace "apollo k"; cₖ; done) | …` over the
+untried rest of its ladder, k being each candidate's place on it, and is
+read like a wave.  A site it fails keeps its sorry and leaves the waves.
+At a site it closes, the largest tag logged on that site's text names the
+winner, the first candidate in ladder order that closes it, which is the
+one the waves would commit: Lean stops at it, and rolls back the tags of
+the alternatives that failed before it (if it did not, theirs would be
+smaller).  Every named winner is committed, and the check of the committed
+text that follows verifies them all.  A site it keeps but names no winner
+for, such as a site waiting for an earlier open site in its sequence,
+goes on in the waves.  With one site swapped the precheck is untagged,
+and the waves walk the site's ladder if it is kept: such a precheck
+mostly drops its site, and tags there would only add bytes.  A precheck
+that cannot be read (a timeout, a crash, a `maxHeartbeats` error, a reply
+that decides nothing) drops and commits nothing and does not narrow.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ DEFAULT_SUITE = [
 _COMBO_SECONDS = ["linarith", "nlinarith", "ring_nf"]
 
 _TRY_THESE_RE = re.compile(r"Try (?:these:|this:)\s*(.*)", re.DOTALL)
+_TAG_RE = re.compile(r"apollo (\d+)")
 
 
 @dataclass(frozen=True)
@@ -140,25 +151,30 @@ def _wave_timeout(config: RepairConfig, trials: int) -> float:
     return min(config.candidate_timeout * trials, config.compile_timeout)
 
 
+def _inside(pos: Position, start: tuple[int, int], tactic: str) -> bool:
+    """Whether `pos` lies on `tactic`, swapped in at `start`."""
+    line, column = start
+    return pos.line == line and column <= pos.column < column + len(tactic)
+
+
 def hint_candidates(text: str, sites: list[SorryInfo], session,
                     config: RepairConfig | None = None) -> list[list[str] | None]:
     """Run `hint` at every site of the script `text`, one compile, and
-    return each site's suggestions in order, read from the messages at that
-    site's position.  The sites are in position order, as `check_script`
-    gives them.  A site no message answers gets None: under Lean a failed
-    `hint` aborts the rest of its block, a timed-out or crashed compile
-    answers none, and a `hint` that shares its line with an earlier site
-    sits left of its sorry.  A lone site's probe is its own answer, so it
-    gets `[]`.  The compile has the time of a wave over the same sites.
-    The suggestions are not validated here: `solve_sorries` trials each
-    like any other candidate, so a suggestion that only makes progress is
-    never committed."""
+    return each site's suggestions in order, read from the messages on
+    that site's `hint` token.  The sites are in position order, as
+    `check_script` gives them.  A site no message answers gets None: under
+    Lean a failed `hint` aborts the rest of its block, and a timed-out or
+    crashed compile answers none.  A lone site's probe is its own answer,
+    so it gets `[]`.  The compile has the time of a wave over the same
+    sites.  The suggestions are not validated here: `solve_sorries` trials
+    each like any other candidate, so a suggestion that only makes progress
+    is never committed."""
     config = config or RepairConfig()
-    wave, _ = _swap(text, [(site, "hint") for site in sites])
+    wave, starts = _swap(text, [(site, "hint") for site in sites])
     probe = check_script(wave, session, _wave_timeout(config, len(sites)))
     answers: list[list[str] | None] = []
-    for site in sites:
-        messages = [d for d in probe.diagnostics if d.pos == site.pos]
+    for start in starts:
+        messages = [d for d in probe.diagnostics if _inside(d.pos, start, "hint")]
         answers.append(parse_hint_suggestions(messages)
                        if messages or len(sites) == 1 else None)
     return answers
@@ -278,26 +294,43 @@ def _read_wave(compiled: CompileResult, swapped: list[int], starts: list[tuple[i
     return (None if verdicts else "a wave that decides nothing"), verdicts
 
 
-def _first(candidates: list[str]) -> str:
+def _first(candidates: list[str], place: int | None = None) -> str:
     """One tactic that closes its goal when any of `candidates` does: each
-    must close it alone (`done`), and a failed one is rolled back."""
-    return "first " + " ".join(f"| ({c}; done)" for c in candidates)
+    must close it alone (`done`), and a failed one is rolled back.  With
+    `place`, the ladder place of the first candidate, each alternative
+    first logs its own place as a tag, `trace "apollo k"`."""
+    steps = [f"{c}; done" for c in candidates]
+    if place is not None:
+        steps = [f'trace "apollo {k}"; {step}' for k, step in enumerate(steps, place)]
+    return "first " + " ".join(f"| ({step})" for step in steps)
 
 
 def _sorry_at(compiled: CompileResult, start: tuple[int, int], tactic: str) -> bool:
     """Whether a sorry stands where `tactic`, swapped in at `start`, sits."""
-    line, column = start
-    return any(s.pos.line == line and column <= s.pos.column < column + len(tactic)
-               for s in compiled.sorries)
+    return any(_inside(s.pos, start, tactic) for s in compiled.sorries)
+
+
+def _named(compiled: CompileResult, start: tuple[int, int], tactic: str,
+           places: range) -> int | None:
+    """The ladder place, among `places`, that the tags of the `first`
+    swapped in at `start` name: the largest logged on it.  Lean tries the
+    alternatives in ladder order and stops at the first that closes, so
+    that tag is the winner's, whether or not the tags of the failed ones
+    were rolled back."""
+    logged = [int(m.group(1)) for d in compiled.diagnostics
+              if d.severity == "info" and _inside(d.pos, start, tactic)
+              and (m := _TAG_RE.fullmatch(d.message.strip()))]
+    return max((place for place in logged if place in places), default=None)
 
 
 def _waves(s: SorrifiedScript, answers: list[list[str] | None], wide: bool,
            session, config: RepairConfig):
     """The trial waves of `solve_sorries` over the sites of `s`, from the
     `hint` answers given, at full width or, with `wide` False, at width
-    one, and the precheck after the first wave in which a candidate fails.
+    one, and the precheck after the first wave in which a candidate fails,
+    which commits the winner its tags name at each site it closes.
     Returns the committed text, its compile and the commits made, or None
-    when the last check of the committed text disagrees with the waves."""
+    when the last check of the committed text disagrees with them."""
     text, result = s.script.text, s.compile_result
     verified = text  # the text that `result` compiled
     sites = list(result.sorries)
@@ -315,6 +348,23 @@ def _waves(s: SorrifiedScript, answers: list[list[str] | None], wide: bool,
         log.debug("autosolver: width one after %s", reason)
         return False
 
+    def commit(i: int, tactic: str) -> None:
+        """Put `tactic` in place of site i's sorry.  A later site on its
+        line moves with the edit, and `hint` is asked about it again."""
+        nonlocal text
+        site = sites[i]
+        text, _ = _swap(text, [(site, tactic)])
+        commits[i] = CommittedTactic(site, tactic)
+        live.remove(i)
+        shift = len(tactic) - (site.end_pos.column - site.pos.column)
+        for j in range(i + 1, len(sites)):
+            if sites[j].pos.line == site.pos.line:
+                other = sites[j]
+                sites[j] = SorryInfo(Position(other.pos.line, other.pos.column + shift),
+                                     Position(other.end_pos.line, other.end_pos.column + shift),
+                                     other.goal)
+                ladders[j] = None
+
     while live:
         if wide and len(live) > 1 and any(ladders[i] is None for i in live):
             wide = narrow("a site the hint wave left unanswered")
@@ -326,23 +376,36 @@ def _waves(s: SorrifiedScript, answers: list[list[str] | None], wide: bool,
         if spent:  # out of candidates: the site keeps its sorry
             live = [i for i in live if i not in spent]
             continue
-        if precheck:  # does anything left on its ladder close each site?
-            tactics = [_first(ladders[i][tried[i]:]) for i in swapped]
+        if precheck:  # does anything left on its ladder close each site, and what?
+            tagged = len(swapped) > 1
+            tactics = [_first(ladders[i][tried[i]:], tried[i] if tagged else None)
+                       for i in swapped]
             trials = sum(len(ladders[i]) - tried[i] for i in swapped)
         else:
             tactics = [ladders[i][tried[i]] for i in swapped]
             trials = len(swapped)
-        swaps = [(sites[i], tactic) for i, tactic in zip(swapped, tactics)]
-        wave, starts = _swap(text, swaps)
+        wave, starts = _swap(text, [(sites[i], tactic) for i, tactic in zip(swapped, tactics)])
         compiled = check_script(wave, session, _wave_timeout(config, trials))
         reason, verdicts = _read_wave(compiled, swapped, starts, tactics, within, sequences)
         if precheck:
             precheck = False
-            dropped = [] if reason else [i for i in swapped if verdicts.get(i) is False]
+            if reason:
+                verdicts = {}
+            dropped = [i for i in swapped if verdicts.get(i) is False]
             for i in dropped:  # nothing left closes it: it keeps its sorry
                 tried[i] = len(ladders[i])
-            log.debug("autosolver: precheck over %d open sites: %d dropped, %d kept%s",
-                      len(swapped), len(dropped), len(swapped) - len(dropped),
+            named = {}  # the winner that its tags name at a site it closes
+            for k, i in enumerate(swapped):
+                if tagged and verdicts.get(i):
+                    place = _named(compiled, starts[k], tactics[k],
+                                   range(tried[i], len(ladders[i])))
+                    if place is not None:
+                        named[i] = ladders[i][place]
+            for i, tactic in named.items():
+                commit(i, tactic)
+            log.debug("autosolver: precheck over %d open sites: %d dropped, %d committed, "
+                      "%d kept%s", len(swapped), len(dropped), len(named),
+                      len(swapped) - len(dropped) - len(named),
                       f" (unread after {reason})" if reason else "")
             continue
         if not verdicts:
@@ -353,25 +416,12 @@ def _waves(s: SorrifiedScript, answers: list[list[str] | None], wide: bool,
         closed = sum(verdicts.values())
         log.debug("autosolver: wave over %d open sites: %d closed, %d undecided",
                   len(swapped), closed, len(swapped) - len(verdicts))
-        for i, (site, tactic) in zip(swapped, swaps):
+        for i, tactic in zip(swapped, tactics):
             verdict = verdicts.get(i)
-            if verdict is None:
-                continue
-            if not verdict:
+            if verdict:
+                commit(i, tactic)
+            elif verdict is False:
                 tried[i] += 1
-                continue
-            text, _ = _swap(text, [(site, tactic)])
-            commits[i] = CommittedTactic(site, tactic)
-            live.remove(i)
-            shift = len(tactic) - (site.end_pos.column - site.pos.column)
-            for j in range(i + 1, len(sites)):
-                if sites[j].pos.line == site.pos.line:
-                    other = sites[j]
-                    sites[j] = SorryInfo(Position(other.pos.line, other.pos.column + shift),
-                                         Position(other.end_pos.line,
-                                                  other.end_pos.column + shift),
-                                         other.goal)
-                    ladders[j] = None
         if compiled.ok and closed == len(swapped):
             result, verified = compiled, text
 
@@ -392,15 +442,17 @@ def solve_sorries(s: SorrifiedScript, session,
     the trial waves, each one compile that tries every open site's next
     candidate, and commit the first that closes each site.  After the
     first wave in which a candidate fails, one precheck compile drops every
-    site that nothing left on its ladder closes, so the waves go on only
-    where a candidate will land.  A commit edits one line, so line ranges
-    never move.  The wave that closes the last open site is the result;
-    otherwise one more compile of the committed text must pass with a
-    sorry at exactly the sites left open, or the waves run again from the
-    start at width one.  With nothing committed, no compile is added and
-    the input's compile stands.  Sites that resist all candidates stay
-    sorried.  The text is parsed once, at the end, and only when something
-    was committed.  The result still compiles Pass or PassWithSorries."""
+    site that nothing left on its ladder closes and, over two or more
+    sites, commits the winner that its tags name at each site it closes;
+    the waves go on only at the sites it leaves open.  A commit edits one
+    line, so line ranges never move.  The wave that closes the last open
+    site is the result; otherwise one more compile of the committed text
+    must pass with a sorry at exactly the sites left open, or the waves
+    run again from the start at width one.  With nothing committed, no
+    compile is added and the input's compile stands.  Sites that resist
+    all candidates stay sorried.  The text is parsed once, at the end, and
+    only when something was committed.  The result still compiles Pass or
+    PassWithSorries."""
     config = config or RepairConfig()
     if not s.compile_result.sorries:
         return s

@@ -229,6 +229,7 @@ def run(items: list[BenchmarkItem], config: RepairConfig, backend,
             return
         started = time.monotonic()
         audit_path = audit_dir / f"{item.name}.jsonl"
+        outcome = None
         try:
             outcome = apollo(item.statement(), 0, config, backend, session_pool)
             outcome.audit.write_jsonl(audit_path)
@@ -242,6 +243,10 @@ def run(items: list[BenchmarkItem], config: RepairConfig, backend,
                 "audit_path": None, "assisted": False, "module_triggers": {},
                 "failure_reason": f"error: {exc}",
             }
+            if outcome is not None:  # what apollo() spent before the error counts
+                record.update(samples=outcome.ledger.samples_used,
+                              tokens=outcome.ledger.tokens_generated,
+                              compiles=outcome.ledger.repl_calls)
         checkpoint(record)
 
     try:

@@ -23,16 +23,19 @@ The "kernel" is a tiny tactic interpreter:
   "hint found no applicable tactics") at its own token, as Mathlib's `hint`
   logs its suggestions at the tactic's syntax, and then closes the goal
   like `sorry`;
+* `trace "s"` emits the info message `s` at its own token and leaves the
+  goal as it is;
 * `first | s₁ | … | sₙ` runs the first alternative that succeeds, a failed
-  one leaving no message, and reports only the last one's failure when all
-  fail; `(t₁; t₂)` runs its tactics in order, and `done` fails while the
-  goal is open;
+  one rolled back with the messages it logged, and reports only the last
+  one's failure when all fail; `(t₁; t₂)` runs its tactics in order, and
+  `done` fails while the goal is open;
 * everything else is resolved against a rule table loaded with --rules:
   entries either close a goal, or step it to a new goal, optionally
   requiring named hypotheses to be in scope.
 
-`FakeRepl.evaluated` counts the leaf tactics run (neither `first` nor a
-parenthesised sequence is one), a cost figure beside the compile count.
+`FakeRepl.evaluated` counts the leaf tactics run (neither `first`, a
+parenthesised sequence nor `trace` is one), a cost figure beside the
+compile count.
 
 A declaration that records a sorry gets a `declaration uses 'sorry'`
 warning at its name (at the keyword of an `example`).
@@ -70,7 +73,7 @@ KNOWN_TACTICS = {
     "decide", "rfl", "trivial", "exact", "apply", "rw", "rwa", "intro",
     "intros", "constructor", "gcongr", "aesop", "hint", "sorry", "admit",
     "assumption", "calc", "unfold", "push_neg", "bound", "simp_rw",
-    "norm_fin", "positivity!", "polyrith",
+    "norm_fin", "positivity!", "polyrith", "trace",
 }
 
 _ANNOT_RE = re.compile(r"\(\s*(\d+(?:\.\d+)?)\s*:\s*[^()]*\)")
@@ -81,6 +84,7 @@ _DECL_RE = re.compile(r"^(theorem|lemma|example)\b")
 _DECL_NAME_RE = re.compile(r"\s*(?:(?:theorem|lemma)\s+(?=[^\s:({\[⦃])|(?=\w))([^\s:({\[⦃]+)")
 _HAVE_RE = re.compile(r"^have\s+([^\s:]+)\s*:\s*(.*?):=\s*by\b(.*)$")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'.!?₀-₉]*")
+_TRACE_RE = re.compile(r'trace\s+"([^"\\]*)"')
 
 _COMPARERS = ["≤", "≥", "≠", "<=", ">=", "!=", "=", "<", ">"]
 _LEXEME_RE = re.compile(r'--[^\n]*|"(?:[^"\\]|\\.)*"?|/-', re.DOTALL)
@@ -344,10 +348,12 @@ class Checker:
     def steps_for(self, g: str, t: str):
         return [r for r in self.table.steps if r["goal"] == g and r["tactic"] == t]
 
-    def eval_seq(self, goal: str, seq: str, ctx: Context, state: "TheoremState"):
+    def eval_seq(self, goal: str, seq: str, ctx: Context, state: "TheoremState",
+                 at: int):
         """Run the `;`-separated tactics of `seq` in order: the verdict of
         the last, a goal left open as `("step", goal)`, or the first
-        failure.  `done` fails while the goal is open."""
+        failure.  `done` fails while the goal is open.  `at` is where `seq`
+        starts in the tactic text being run (`TheoremState.lines`)."""
         tactics = _split_top(seq, ";")
         if any(not t.strip() for t in tactics):
             return ("unknown", "unexpected token ';'")
@@ -358,31 +364,44 @@ class Checker:
                     return ("fail", "no goals to be solved")
                 self.evaluated += 1  # with no goal left, `done` succeeds
                 continue
-            outcome = self.eval_tactic(outcome[1], tactic, ctx, state)
+            outcome = self.eval_tactic(outcome[1], tactic, ctx, state, at)
             if outcome[0] in ("fail", "unknown"):
                 return outcome
+            at += len(tactic) + 1
         return outcome
 
-    def eval_first(self, goal: str, rest: str, ctx: Context, state: "TheoremState"):
+    def eval_first(self, goal: str, rest: str, ctx: Context, state: "TheoremState",
+                   at: int):
         """`first | s₁ | … | sₙ`: the first alternative that succeeds, or the
-        last one's failure.  A failed alternative leaves nothing behind,
-        since only the verdict kept is written to the state.  An unknown
-        tactic is a parse error under Lean, which no alternative catches."""
+        last one's failure.  A failed alternative is rolled back with the
+        messages it logged; its verdict is never written to the state.  An
+        unknown tactic is a parse error under Lean, which no alternative
+        catches."""
         alternatives = _split_top(rest, "|")
         if alternatives[0].strip() or len(alternatives) < 2:
             return ("unknown", "expected '|' after 'first'")
+        at += len(alternatives[0]) + 1
         for alternative in alternatives[1:]:
-            outcome = self.eval_seq(goal, alternative, ctx, state)
+            logged = len(state.infos)
+            outcome = self.eval_seq(goal, alternative, ctx, state, at)
             if outcome[0] != "fail":
                 return outcome
+            del state.infos[logged:]
+            at += len(alternative) + 1
         return outcome
 
-    def eval_tactic(self, goal: str, tactic: str, ctx: Context, state: "TheoremState"):
+    def eval_tactic(self, goal: str, tactic: str, ctx: Context, state: "TheoremState",
+                    at: int = 0):
         text = tactic.strip()
+        at += len(tactic) - len(tactic.lstrip())
         if re.match(r"first\b", text):
-            return self.eval_first(goal, text[len("first"):], ctx, state)
+            return self.eval_first(goal, text[len("first"):], ctx, state, at + len("first"))
         if text.startswith("(") and _closing_paren(text) == len(text) - 1:
-            return self.eval_seq(goal, text[1:-1], ctx, state)
+            return self.eval_seq(goal, text[1:-1], ctx, state, at + 1)
+        trace = _TRACE_RE.fullmatch(text)
+        if trace:  # a message, not a leaf tactic: the goal stays as it is
+            state.log(at, "trace", trace.group(1))
+            return ("step", goal)
         self.evaluated += 1
         head_m = re.match(r"[A-Za-z_][A-Za-z0-9_'!?]*", text)
         head = head_m.group(0) if head_m else text[:1]
@@ -397,7 +416,8 @@ class Checker:
                 msg = "Try these:\n" + "\n".join("• " + s for s in suggestions)
             else:
                 msg = "hint found no applicable tactics"
-            return ("hint", msg)
+            state.log(at, "hint", msg)
+            return ("sorry", None)
 
         hit = self.try_table(goal, text, ctx)
         if hit:
@@ -453,7 +473,16 @@ class TheoremState:
     checker_decls: dict[str, str]
     errors: list = field(default_factory=list)
     sorries: list = field(default_factory=list)
-    infos: list = field(default_factory=list)
+    infos: list = field(default_factory=list)  # (line, column, token length, message)
+    # the tactic text being run: (offset, line, column) of each source line
+    # joined into it, in order
+    lines: list = field(default_factory=list)
+
+    def log(self, at: int, token: str, message: str) -> None:
+        """An info message at the `token` that starts at offset `at` of the
+        tactic text being run."""
+        offset, line, column = next(w for w in reversed(self.lines) if w[0] <= at)
+        self.infos.append((line, column + at - offset, len(token), message))
 
 
 class FakeRepl:
@@ -543,16 +572,16 @@ class FakeRepl:
             # continuation lines deepen the current tactic invocation
             j = i + 1
             text = stripped
+            state.lines = [(0, ln.no, ln.col)]
             while j < len(lines) and lines[j].text.strip() and lines[j].col > ln.col:
+                state.lines.append((len(text) + 1, lines[j].no, lines[j].col))
                 text += " " + lines[j].text.strip()
                 j += 1
             verdict, detail = self.checker.eval_tactic(goal, text, ctx, state)
             if verdict == "closed":
                 closed = True
-            elif verdict in ("sorry", "hint"):
+            elif verdict == "sorry":
                 closed = True
-                if verdict == "hint":
-                    state.infos.append((ln.no, ln.col, detail))  # at the token
                 tok = "admit" if text.startswith("admit") else "sorry"
                 tok_col = ln.raw.find(tok, ln.col)
                 tok_col = ln.col if tok_col == -1 else tok_col
@@ -699,11 +728,11 @@ class FakeRepl:
 
         for line_no, col, msg in state.errors:
             messages.append(_err(line_no, col, msg))
-        for line_no, col, msg in state.infos:
+        for line_no, col, length, msg in state.infos:
             messages.append({
                 "severity": "info",
                 "pos": {"line": line_no, "column": col},
-                "endPos": {"line": line_no, "column": col + len("hint")},
+                "endPos": {"line": line_no, "column": col + length},
                 "data": msg,
             })
         messages += warnings

@@ -1,9 +1,10 @@
 import json
 import logging
+from unittest import mock
 
 from apollo.cli import load_dataset, run
 from apollo.config import RepairConfig
-from apollo.engine import FAILED, PROVED
+from apollo.engine import FAILED, PROVED, AuditLog
 from apollo.llm import MockBackend
 
 
@@ -65,3 +66,17 @@ def test_compiles_are_recorded_and_reported_next_to_other_budgets(
     rendered = report.render()
     assert "compile budget" in rendered.splitlines()[0]
     assert "max compile budget: 2" in rendered
+
+
+def test_an_error_after_apollo_returned_keeps_what_the_item_spent(
+        mock_suite, suite_pool, tmp_path):
+    by_name = {item.name: item for item in load_dataset(mock_suite["dataset"])}
+    with mock.patch.object(AuditLog, "write_jsonl", side_effect=OSError("disk full")):
+        report = run([by_name["thm_r0"]], RepairConfig(max_depth_r=1, k_per_goal=4),
+                     MockBackend(mock_suite["llm"]), suite_pool, tmp_path / "results.jsonl")
+
+    (record,) = report.records
+    assert record["status"] == FAILED and "disk full" in record["failure_reason"]
+    # as spent by the run that proved it before writing its audit failed
+    assert (record["samples"], record["compiles"]) == (1, 2) and record["tokens"] > 0
+    assert report.aggregates()["avg_compiles"] == 2

@@ -38,6 +38,13 @@ SORRY_SOURCE = (
     "has set to its name; the leanprover-community/repl README shows it "
     "for `def f : Nat := by sorry` at line 1, columns 4 to 5")
 
+TRACE_SOURCE = (
+    "Init/Tactics.lean: `trace \"msg\"` is the tactic that displays `msg`; "
+    "Lean/Elab/Tactic/BuiltinTactic.lean: `evalTraceMessage` logs it with "
+    "`logInfo` under `withRef` of the `trace` token, so the info message "
+    "spans that token.  Unverified here against Lean, which is not "
+    "installed")
+
 ROWS = [
     Row("hint suggestions, on a line of their own",
         "theorem t : G2 := by\n  hint\n",
@@ -57,6 +64,13 @@ ROWS = [
         "-- the first line\ntheorem two_eq (x : ℕ) : x = x := by\n"
         "  have h : 1 = 1 := by sorry\n  rfl\n",
         "declaration uses 'sorry'", "warning", (2, 8), (2, 14), SORRY_SOURCE),
+    Row("trace, on a line of its own",
+        "theorem t : 1 = 1 := by\n  trace \"apollo 3\"\n  rfl\n",
+        "apollo 3", "info", (2, 2), (2, 7), TRACE_SOURCE),
+    Row("trace, on a continuation line",
+        "theorem t : 2 + 2 = 4 := by\n  first | (rfl; done)\n"
+        "    | (trace \"apollo 1\"; norm_num; done)\n",
+        "apollo 1", "info", (3, 7), (3, 12), TRACE_SOURCE),
 ]
 
 
@@ -271,10 +285,37 @@ def test_a_combinator_inside_parentheses_runs_as_one_tactic():
     assert reply["messages"] == []
 
 
+# Row 1(f): a message logged inside an alternative of `first`, as the
+# auto-solver's precheck logs each alternative's ladder place with `trace`.
+
+TAGGED = ('first | (trace "apollo 0"; exact h_missing; done) '
+          '| (trace "apollo 1"; norm_num; done)')
+
+
+def _infos(reply):
+    return [((m["pos"]["line"], m["pos"]["column"]), m["data"])
+            for m in reply["messages"] if m["severity"] == "info"]
+
+
+def test_a_failed_alternative_drops_its_messages_with_its_state():
+    """Row: the message that a failed alternative logged is rolled back
+    with it; the one that the closing alternative logged is kept, at its
+    own `trace` token.  Source: FIRST_SOURCE and TRACE_SOURCE."""
+    reply = _first_reply("2 + 2 = 4", TAGGED)
+    column = 4 + TAGGED.index('trace "apollo 1"')
+    assert _infos(reply) == [((3, column), "apollo 1")]
+    assert _errors(reply) == []
+    # when every alternative fails, no alternative's message is kept
+    assert _infos(_first_reply("3 * 3 = 10", TAGGED)) == []
+
+
 def test_the_fake_counts_leaf_tactics_and_not_first():
     """Not a row: the fake's second cost figure, beside the compile count.
-    Here `exact`, `norm_num` and `done` run inside `first`, then `rfl`."""
+    Here `exact`, `norm_num` and `done` run inside `first`, then `rfl`;
+    neither `first` nor `trace` is a leaf tactic."""
     repl = FakeRepl(FIRST_TABLE)
     repl.handle("theorem t : 1 = 1 := by\n  have h : 2 + 2 = 4 := by\n"
                 "    first | (exact h_missing; done) | (norm_num; done)\n  rfl\n")
     assert repl.evaluated == 4
+    repl.handle(f"theorem t : 1 = 1 := by\n  have h : 2 + 2 = 4 := by\n    {TAGGED}\n  rfl\n")
+    assert repl.evaluated == 8
